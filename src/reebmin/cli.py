@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -576,10 +577,7 @@ def _emit_line(report, out):
     out.write("\n")
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = sys.stdout
+def _run_command(args, out) -> int:
     if args.group == "batch":
         return _run_batch(args, out)
     try:
@@ -592,6 +590,21 @@ def main(argv=None) -> int:
     if args.strict and report.get("strict_fail"):
         return 2
     return 0
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    out = sys.stdout
+    try:
+        status = _run_command(args, out)
+        out.flush()
+    except BrokenPipeError:
+        # the reader closed early (`reebmin ... | head`): send what is left
+        # in the buffer to devnull so the exit-time flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

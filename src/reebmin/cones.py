@@ -5,14 +5,19 @@ C* = {y : <y, v_a> >= 0 for all a}, and its dual C is the fan of the
 associated affine toric variety.  All geometry here is exact: ray
 enumeration, redundancy elimination and the Gorenstein basis change run
 on integers and Fractions only.
+
+Rays come from signed (n-1)-minors of the normals (generalised cross
+products).  Redundancy is read off the ray/normal incidences in one pass,
+as in the double description method: a normal carves a facet iff it is
+not repeated and the rays it vanishes on have rank n-1.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
 from . import latcore
 from .errors import (
@@ -76,47 +81,50 @@ class SmaleType:
     label: str
 
 
+def _cross(rows, n):
+    """Generalised cross product of n-1 integer rows in Z^n.
+
+    Entry j is the signed (n-1)-minor with column j deleted, so the result
+    is orthogonal to every row and is zero exactly when the rows have rank
+    below n-1.
+    """
+    return tuple(
+        (-1) ** j * latcore.int_det([row[:j] + row[j + 1:] for row in rows])
+        for j in range(n)
+    )
+
+
 def _extreme_rays_pointed(ineqs, n):
     """Extreme rays of {y : <y, w> >= 0 for w in ineqs} for rank-n ineqs.
 
-    Enumerates (n-1)-subsets of the inequality normals, takes the primitive
-    kernel vector of each rank-(n-1) subset, and keeps it if one orientation
-    satisfies every inequality.  Valid whenever the cone is pointed, which
-    rank(ineqs) = n guarantees.
+    Every (n-1)-subset of rank n-1 cuts out a line, spanned by the primitive
+    cross product of its normals; the line carries a ray when one
+    orientation satisfies every inequality.  Valid whenever the cone is
+    pointed, which rank(ineqs) = n guarantees.
     """
     ineqs = [tuple(w) for w in ineqs]
+    seen = set()
     rays = set()
-    for subset in itertools.combinations(range(len(ineqs)), n - 1):
-        rows = [list(ineqs[i]) for i in subset]
-        ker = latcore.integer_kernel(rows, ncols=n)
-        if len(ker) != 1:
+    for subset in itertools.combinations(ineqs, n - 1):
+        z = _cross([list(w) for w in subset], n)
+        if not any(z):
             continue
-        z = tuple(ker[0])
-        pairings = [dot(z, w) for w in ineqs]
-        if all(p >= 0 for p in pairings):
-            rays.add(z)
-        elif all(p <= 0 for p in pairings):
-            rays.add(tuple(-x for x in z))
+        z = latcore.primitivize(z)
+        # one sign per line, so a line cut out by several subsets is tested once
+        if next(x for x in z if x) < 0:
+            z = tuple(-x for x in z)
+        if z in seen:
+            continue
+        seen.add(z)
+        lo = hi = 0
+        for w in ineqs:
+            p = dot(z, w)
+            lo, hi = min(lo, p), max(hi, p)
+            if lo < 0 < hi:
+                break
+        else:
+            rays.add(z if lo == 0 else tuple(-x for x in z))
     return tuple(sorted(rays))
-
-
-def _is_redundant(normals, a):
-    """Exact test whether inequality a is implied by the others."""
-    others = [list(v) for i, v in enumerate(normals) if i != a]
-    va = list(normals[a])
-    n = len(va)
-    lineality = latcore.integer_kernel(others, ncols=n)
-    if any(dot(k, va) != 0 for k in lineality):
-        return False
-    if lineality:
-        # everything is orthogonal to the lineality space; restrict to its
-        # integral complement, where the relaxed cone is pointed
-        basis = latcore.integer_kernel(lineality, ncols=n)
-        others = [matvec(basis, w) for w in others]
-        va = matvec(basis, va)
-        n = len(basis)
-    rays = _extreme_rays_pointed(others, n)
-    return all(dot(r, va) >= 0 for r in rays)
 
 
 def validate_cone(normals) -> MomentCone:
@@ -124,7 +132,11 @@ def validate_cone(normals) -> MomentCone:
 
     Raises NonPrimitive for a zero or imprimitive normal, NotStrictlyConvex
     when the cut-out cone contains a line or has empty interior, and
-    RedundantNormal when some inequality does not carve a facet.
+    RedundantNormal at the first normal that does not carve a facet.  The
+    facet test is one incidence pass over the extreme rays (double
+    description): a normal carves a facet iff it occurs once and the rays
+    it vanishes on have rank n-1.  Both copies of a repeated normal count
+    as redundant.
     """
     vs = [tuple(int(x) for x in v) for v in normals]
     if not vs:
@@ -140,8 +152,10 @@ def validate_cone(normals) -> MomentCone:
     rays = _extreme_rays_pointed(vs, n)
     if not rays or latcore.rank([list(r) for r in rays]) < n:
         raise NotStrictlyConvex("empty interior: the cone is not full-dimensional")
-    for i in range(len(vs)):
-        if vs.index(vs[i]) != i or _is_redundant(vs, i):
+    counts = Counter(vs)
+    for i, v in enumerate(vs):
+        tight = [list(r) for r in rays if dot(r, v) == 0]
+        if counts[v] > 1 or latcore.rank(tight) < n - 1:
             raise RedundantNormal(i)
     return MomentCone(n=n, normals=tuple(vs))
 
@@ -159,12 +173,6 @@ def dual_cone(cone: MomentCone) -> tuple[tuple[int, ...], ...]:
     minimal cone this recovers the normal set (sorted).
     """
     return _extreme_rays_pointed(extreme_rays(cone), cone.n)
-
-
-def interior_point(cone: MomentCone) -> tuple[int, ...]:
-    """An integral point strictly inside C* (the sum of its extreme rays)."""
-    rays = extreme_rays(cone)
-    return tuple(sum(r[i] for r in rays) for i in range(cone.n))
 
 
 @lru_cache(maxsize=None)

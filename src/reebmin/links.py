@@ -14,7 +14,7 @@ import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm, prod
 
 from . import obstruct
 from .errors import NotHomologySphere, UnsupportedDimension
@@ -403,7 +403,3 @@ def bp8_class(a) -> int:
     if tau % 8:
         raise NotHomologySphere(f"signature {tau} is not divisible by 8")
     return (abs(tau) // 8) % 28
-
-
-def is_perfect_square(x: int) -> bool:
-    return x >= 0 and isqrt(x) ** 2 == x

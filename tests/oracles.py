@@ -4,12 +4,15 @@ Everything here deliberately avoids the code paths it is used to check:
 homology via the Alexander polynomial at 1 instead of the gcd graph,
 volume gradients via finite differences instead of moment formulas,
 minimizers via grid search instead of Newton, signatures via Fraction
-arithmetic instead of scaled-integer counting.
+arithmetic instead of scaled-integer counting, the integer-relation
+search on its whole grid at once instead of block by block.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm, prod
+
+import numpy as np
 
 
 def alexander_invariants(a):
@@ -118,3 +121,14 @@ def random_unimodular(n, rng, shears=8):
         if rng.random() < 0.3:
             m[i], m[j] = m[j], m[i]
     return m
+
+
+def has_integer_relation_full_grid(b, x, bound=512, tol=1e-7):
+    """m0 + m1*b + m2*x = 0 within tol, scanned over the whole
+    [-bound, bound] x [1, bound] grid of (m1, m2) in one float array."""
+    m1 = np.arange(-bound, bound + 1, dtype=float)
+    m2 = np.arange(1, bound + 1, dtype=float)
+    combo = m1[:, None] * b + m2[None, :] * x
+    resid = np.abs(combo - np.round(combo))
+    scale = 1.0 + np.abs(m1)[:, None] * abs(b) + np.abs(m2)[None, :] * abs(x)
+    return bool((resid <= tol * scale).any())

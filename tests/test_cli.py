@@ -198,11 +198,19 @@ def test_timing_flag_controls_field():
     assert "timing_ms" in cli.run(spec, timing=True)
 
 
-def test_cross_process_byte_determinism(tmp_path):
+def child_pythonpath():
+    """PYTHONPATH under which a child interpreter imports the same reebmin
+    this process imported, whether a source checkout or an installed copy."""
     import os
+    from pathlib import Path
+
+    pkg_parent = str(Path(cli.__file__).resolve().parent.parent)
+    return os.pathsep.join(p for p in (pkg_parent, os.environ.get("PYTHONPATH")) if p)
+
+
+def test_cross_process_byte_determinism(tmp_path):
     import subprocess
     import sys
-    from pathlib import Path
 
     cone_file = tmp_path / "conifold.json"
     cone_file.write_text(json.dumps(CONIFOLD_PAYLOAD["cone"]))
@@ -210,12 +218,6 @@ def test_cross_process_byte_determinism(tmp_path):
         sys.executable, "-m", "reebmin.cli",
         "cone", "minimize", "--input", str(cone_file), "--exact-certify",
     ]
-    # the child must import the same reebmin this process imported,
-    # whether that is a source checkout or an installed copy
-    pkg_parent = str(Path(cli.__file__).resolve().parent.parent)
-    pythonpath = os.pathsep.join(
-        p for p in (pkg_parent, os.environ.get("PYTHONPATH")) if p
-    )
     outs = set()
     for seed in ("0", "12345"):
         proc = subprocess.run(
@@ -223,7 +225,7 @@ def test_cross_process_byte_determinism(tmp_path):
             env={
                 "PYTHONHASHSEED": seed,
                 "PATH": "/usr/bin:/bin",
-                "PYTHONPATH": pythonpath,
+                "PYTHONPATH": child_pythonpath(),
             },
         )
         assert proc.returncode == 0, proc.stderr
@@ -233,3 +235,26 @@ def test_cross_process_byte_determinism(tmp_path):
     report = json.loads(outs.pop())
     assert report["command"] == "cone-minimize"
     assert report["results"]["regularity"] == "quasi-regular"
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    cone_file = tmp_path / "conifold.json"
+    cone_file.write_text(json.dumps(CONIFOLD_PAYLOAD["cone"]))
+    env = dict(os.environ, PYTHONPATH=child_pythonpath())
+    # a pipe whose reader is already gone, as after `reebmin ... | head -1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "reebmin.cli",
+             "cone", "minimize", "--input", str(cone_file)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

@@ -47,10 +47,71 @@ def test_validate_rejects_nonprimitive():
 
 
 def test_validate_rejects_redundant():
-    with pytest.raises(RedundantNormal):
+    with pytest.raises(RedundantNormal) as err:
         cn.validate_cone([(1, 0), (1, 1), (1, 2)])  # middle one is implied
-    with pytest.raises(RedundantNormal):
+    assert err.value.index == 1
+    with pytest.raises(RedundantNormal) as err:
         cn.validate_cone([(1, 0), (0, 1), (1, 0)])  # duplicate
+    assert err.value.index == 0  # both copies are redundant
+
+
+def convex_hull(points):
+    """Vertices of the convex hull of distinct 2D points, counter-clockwise."""
+
+    def chain(pts):
+        hull = []
+        for p in pts:
+            while len(hull) >= 2 and (
+                (hull[-1][0] - hull[-2][0]) * (p[1] - hull[-2][1])
+                - (hull[-1][1] - hull[-2][1]) * (p[0] - hull[-2][0])
+            ) <= 0:
+                hull.pop()
+            hull.append(p)
+        return hull
+
+    pts = sorted(points)
+    return chain(pts)[:-1] + chain(pts[::-1])[:-1]
+
+
+def random_lattice_polygon(rng, size=4):
+    while True:
+        hull = convex_hull({(rng.randint(0, size), rng.randint(0, size)) for _ in range(8)})
+        if len(hull) >= 3:
+            return hull
+
+
+def test_validate_reports_inserted_implied_normal():
+    rng = random.Random(17)
+    for _ in range(30):
+        hull = random_lattice_polygon(rng)
+        normals = [(1, x, y) for x, y in hull]
+        # the midpoint of two vertices lies on an edge or inside the
+        # polygon, so its normal is implied by the others
+        a, b = rng.sample(range(len(hull)), 2)
+        implied = lc.primitivize((2, hull[a][0] + hull[b][0], hull[a][1] + hull[b][1]))
+        pos = rng.randint(0, len(normals))
+        normals.insert(pos, implied)
+        t = oracles.random_unimodular(3, rng)
+        framed = [lc.matvec(t, list(v)) for v in normals]
+        with pytest.raises(RedundantNormal) as err:
+            cn.validate_cone(framed)
+        assert err.value.index == pos
+
+
+def test_validate_needs_no_integer_kernel(monkeypatch):
+    # guard on the amount of work, not on wall time: the facet test reads
+    # incidences and takes no Smith-form kernels
+    calls = []
+    kernel = lc.integer_kernel
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(lc, "integer_kernel", counting)
+    cone = cn.validate_cone([(1, k, k * k) for k in range(24)])
+    assert cone.d == 24
+    assert calls == []
 
 
 def test_validate_conifold():
