@@ -62,9 +62,13 @@ def _need(payload, key, kind, what=""):
     return val
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _int_list(payload, key):
     val = _need(payload, key, list)
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in val):
+    if not all(map(_is_int, val)):
         raise SchemaError(f"field {key!r} must be a list of integers")
     return val
 
@@ -72,6 +76,8 @@ def _int_list(payload, key):
 def _cone_payload(payload) -> cones.MomentCone:
     data = _need(payload, "cone", dict)
     normals = _need(data, "normals", list)
+    if not all(isinstance(v, list) and all(map(_is_int, v)) for v in normals):
+        raise SchemaError("field 'normals' must be a list of integer lists")
     return cones.validate_cone(normals)
 
 
@@ -124,13 +130,15 @@ def _run_link_check(payload):
 
 def _run_link_enumerate(payload):
     template = _need(payload, "template", list)
-    template = [None if t is None else int(t) for t in template]
-    lo, hi = _int_list(payload, "range")
+    if not all(t is None or _is_int(t) for t in template):
+        raise SchemaError("field 'template' must hold integers and nulls")
+    bounds = _int_list(payload, "range")
+    if len(bounds) != 2:
+        raise SchemaError("field 'range' must be [lo, hi]")
+    lo, hi = bounds
     pred_spec = payload.get("predicate")
     pred = links.parse_predicate(pred_spec) if pred_spec else None
-    hits = links.enumerate_family(
-        template, range(lo, hi + 1), pred, workers=int(payload.get("workers", 1))
-    )
+    hits = links.enumerate_family(template, range(lo, hi + 1), pred)
     return (
         {
             "count": len(hits),
@@ -445,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", required=True, help="inclusive range lo..hi")
     p.add_argument("--predicate", default=None,
                    help="named predicate(s), '+'-conjoined: bgk, gk+bgk-fail, ...")
-    p.add_argument("--workers", type=int, default=1)
 
     obst = sub.add_parser("obstruct", help="volume/eigenvalue obstructions")
     obs_sub = obst.add_subparsers(dest="action", required=True)
@@ -502,7 +509,6 @@ def _spec_from_args(args) -> dict:
                 "template": _template_csv(args.template),
                 "range": _range_arg(args.range),
                 "predicate": args.predicate,
-                "workers": args.workers,
             },
         }
     if group == "obstruct":

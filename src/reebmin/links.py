@@ -3,15 +3,15 @@
 Topology of the link L(a) via the gcd graph, Sasaki-Einstein existence
 tests from the Boyer-Galicki-Kollar and Ghigi-Kollar inequalities, the
 Milnor-fibre signature count for homotopy 7-spheres, and an enumeration
-engine over one-parameter families.  Every inequality is decided in exact
-rational arithmetic; the float fast path falls back to exact arithmetic
-near a boundary so the two can never disagree.
+engine over one-parameter families.  Each inequality compares rationals
+whose denominators divide d = lcm(a), so it is decided as one comparison
+of integers after multiplying through by d: with |w| = sum d/a_i the
+reciprocal sum is sum 1/a_i = |w|/d.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -22,9 +22,6 @@ from .errors import NotHomologySphere, UnsupportedDimension
 INTEGRAL = "integral_sphere"
 RATIONAL = "rational_sphere"
 OTHER = "other"
-
-# float comparisons closer to a bound than this are re-decided exactly
-_FLOAT_GUARD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -150,12 +147,15 @@ def homology_classify(a) -> str:
 
 
 def reciprocal_sum(a) -> Fraction:
-    return sum((Fraction(1, x) for x in bp(a).a), Fraction(0))
+    """sum 1/a_i = |w|/d."""
+    e = bp(a)
+    return Fraction(e.weight_sum, e.degree)
 
 
 def fano_check(a) -> bool:
-    """Fano condition sum 1/a_i > 1, decided exactly."""
-    return reciprocal_sum(a) > 1
+    """Fano condition sum 1/a_i > 1, that is |w| > d."""
+    e = bp(a)
+    return e.weight_sum > e.degree
 
 
 @dataclass(frozen=True)
@@ -167,43 +167,35 @@ class BGKResult:
         return self.passed
 
 
-def _bgk_data(a):
-    a = bp(a).a
+def _bgk_bmax(a) -> int:
+    """max b_i b_j over i < j, where b_i = gcd(a_i, lcm of the other a_j)."""
     m = len(a)
     cs = [lcm(*(a[j] for j in range(m) if j != i)) for i in range(m)]
     bs = [gcd(a[i], cs[i]) for i in range(m)]
-    return a, bs
+    return max(bi * bj for bi, bj in itertools.combinations(bs, 2))
 
 
-def bgk_check(a, exact=True) -> BGKResult:
-    """Boyer-Galicki-Kollar existence conditions with exact fractions.
+def bgk_check(a) -> BGKResult:
+    """Boyer-Galicki-Kollar existence conditions, in integers.
 
-    With exact=False a float evaluation is used, falling back to the exact
-    comparison whenever a margin is within 1e-9 of the bound.
+    With s = sum 1/a_i = |w|/d and n = len(a) - 1 the conditions are
+    (1) s > 1, (2) s < 1 + n/((n-1) max a_i) and
+    (3) s < 1 + n/((n-1) max b_i b_j).  Multiplied through by d and the
+    positive denominators they read (1) |w| > d,
+    (2) |w| (n-1) max a < d ((n-1) max a + n) and (3) the same with
+    max b_i b_j in place of max a.  The first one that fails is reported.
     """
-    av, bs = _bgk_data(a)
-    n = len(av) - 1
-    if exact:
-        s = reciprocal_sum(av)
-        if not s > 1:
-            return BGKResult(False, 1)
-        if not s < 1 + Fraction(n, n - 1) * min(Fraction(1, x) for x in av):
-            return BGKResult(False, 2)
-        bmax = max(bi * bj for bi, bj in itertools.combinations(bs, 2))
-        if not s < 1 + Fraction(n, (n - 1) * bmax):
-            return BGKResult(False, 3)
-        return BGKResult(True, None)
-    s = sum(1.0 / x for x in av)
-    checks = (
-        (s - 1.0, 1),
-        (1.0 + n / ((n - 1) * max(av)) - s, 2),
-        (1.0 + n / ((n - 1) * max(bi * bj for bi, bj in itertools.combinations(bs, 2))) - s, 3),
-    )
-    for margin, which in checks:
-        if abs(margin) <= _FLOAT_GUARD:
-            return bgk_check(av, exact=True)
-        if margin < 0:
-            return BGKResult(False, which)
+    e = bp(a)
+    d, w, n = e.degree, e.weight_sum, e.n
+    if not w > d:
+        return BGKResult(False, 1)
+    # (1) fails for every pair of exponents, so n >= 2 from here on
+    amax = max(e.a)
+    if not w * (n - 1) * amax < d * ((n - 1) * amax + n):
+        return BGKResult(False, 2)
+    bmax = _bgk_bmax(e.a)
+    if not w * (n - 1) * bmax < d * ((n - 1) * bmax + n):
+        return BGKResult(False, 3)
     return BGKResult(True, None)
 
 
@@ -212,20 +204,17 @@ GK_FAIL = "fail"
 GK_NA = "not_applicable"
 
 
-def gk_check(a, exact=True) -> str:
-    """Ghigi-Kollar iff-test for pairwise relatively prime exponents."""
-    av = bp(a).a
-    n = len(av) - 1
+def gk_check(a) -> str:
+    """Ghigi-Kollar iff-test for pairwise relatively prime exponents.
+
+    1 < s < 1 + n/max a, in integers d < |w| and |w| max a < d (max a + n).
+    """
+    e = bp(a)
+    av = e.a
     if any(gcd(x, y) > 1 for x, y in itertools.combinations(av, 2)):
         return GK_NA
-    if exact:
-        s = reciprocal_sum(av)
-        return GK_PASS if 1 < s < 1 + Fraction(n, max(av)) else GK_FAIL
-    s = sum(1.0 / x for x in av)
-    lo, hi = s - 1.0, 1.0 + n / max(av) - s
-    if abs(lo) <= _FLOAT_GUARD or abs(hi) <= _FLOAT_GUARD:
-        return gk_check(av, exact=True)
-    return GK_PASS if (lo > 0 and hi > 0) else GK_FAIL
+    d, w, amax = e.degree, e.weight_sum, max(av)
+    return GK_PASS if d < w and w * amax < d * (amax + e.n) else GK_FAIL
 
 
 # --- composite verdict ------------------------------------------------------
@@ -261,7 +250,7 @@ class LinkVerdict:
         }
 
 
-def link_verdict(a, with_obstructions=True) -> LinkVerdict:
+def link_verdict(a) -> LinkVerdict:
     """Full existence/obstruction report for one Brieskorn-Pham link.
 
     The obstruction verdicts apply to the canonical weighted Reeb field
@@ -273,7 +262,7 @@ def link_verdict(a, with_obstructions=True) -> LinkVerdict:
     bgk = bgk_check(e)
     gk = gk_check(e)
     bishop = lich = None
-    if with_obstructions and fano:
+    if fano:
         hs = e.hypersurface()
         bishop = obstruct.bishop_check(hs)
         lich = obstruct.lichnerowicz_check(hs).status
@@ -338,34 +327,22 @@ def parse_predicate(spec: str):
     return lambda v: all(p(v) for p in preds)
 
 
-def enumerate_family(template, values, predicate=None, workers=1,
-                     with_obstructions=True):
+def enumerate_family(template, values, predicate=None):
     """Evaluate a one-slot exponent template over a range of values.
 
     template holds ints and exactly one None placeholder; values is any
     finite iterable of ints, scanned in ascending order.  Returns the
-    ordered list of (value, LinkVerdict) passing the predicate.  With
-    workers > 1 the verdicts are computed in a thread pool; output order
-    is still the input order.
+    ordered list of (value, LinkVerdict) passing the predicate.
     """
     slots = [i for i, t in enumerate(template) if t is None]
     if len(slots) != 1:
         raise ValueError("template must contain exactly one None slot")
     slot = slots[0]
-    ks = sorted(int(k) for k in values)
-
-    def build(k):
+    out = []
+    for k in sorted(int(k) for k in values):
         a = list(template)
         a[slot] = k
-        return link_verdict(a, with_obstructions=with_obstructions)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            verdicts = list(pool.map(build, ks))
-    else:
-        verdicts = [build(k) for k in ks]
-    out = []
-    for k, v in zip(ks, verdicts):
+        v = link_verdict(a)
         if predicate is None or predicate(v):
             out.append((k, v))
     return out

@@ -5,12 +5,14 @@ homology via the Alexander polynomial at 1 instead of the gcd graph,
 volume gradients via finite differences instead of moment formulas,
 minimizers via grid search instead of Newton, signatures via Fraction
 arithmetic instead of scaled-integer counting, the integer-relation
-search on its whole grid at once instead of block by block.
+search on its whole grid at once instead of block by block, and the
+Boyer-Galicki-Kollar and Ghigi-Kollar inequalities in Fractions instead
+of integers cleared of the denominator lcm(a).
 """
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -70,6 +72,35 @@ def signature_by_fractions(a):
         elif 1 < t < 2:
             minus += 1
     return plus - minus
+
+
+def bgk_by_fractions(a):
+    """First failed Boyer-Galicki-Kollar condition (1, 2 or 3), or None.
+
+    (1) s > 1, (2) s < 1 + n/((n-1) max a), (3) s < 1 + n/((n-1) max b_i b_j)
+    with s = sum 1/a_i, n = len(a) - 1, b_i = gcd(a_i, lcm of the others).
+    """
+    m = len(a)
+    n = m - 1
+    s = sum((Fraction(1, x) for x in a), Fraction(0))
+    if not s > 1:
+        return 1
+    if not s < 1 + Fraction(n, n - 1) * min(Fraction(1, x) for x in a):
+        return 2
+    bs = [gcd(a[i], lcm(*(a[j] for j in range(m) if j != i))) for i in range(m)]
+    bmax = max(bi * bj for bi, bj in combinations(bs, 2))
+    if not s < 1 + Fraction(n, (n - 1) * bmax):
+        return 3
+    return None
+
+
+def gk_by_fractions(a):
+    """Ghigi-Kollar 1 < s < 1 + n/max a for pairwise coprime exponents."""
+    if any(gcd(x, y) > 1 for x, y in combinations(a, 2)):
+        return "not_applicable"
+    n = len(a) - 1
+    s = sum((Fraction(1, x) for x in a), Fraction(0))
+    return "pass" if 1 < s < 1 + Fraction(n, max(a)) else "fail"
 
 
 def fd_volume_gradient(vol_fn, xi, h=1e-5):

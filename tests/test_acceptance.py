@@ -216,8 +216,7 @@ def test_criterion_9_property_suites():
             for i in range(3):
                 assert sum(c * r[i] for c, r in zip(charge, rays)) == 0
 
-        # permutation invariance of full link verdicts, 1e5 random vectors,
-        # riding along: float fast path agrees with the exact path
+        # permutation invariance of full link verdicts, 1e5 random vectors
         rng3 = random.Random(3)
         for _ in range(100_000):
             a = [rng3.randint(2, 200) for _ in range(rng3.choice((3, 4, 5)))]
@@ -229,5 +228,3 @@ def test_criterion_9_property_suites():
                     v.lichnerowicz, v.outcome) == (
                 w.fano, w.homology_type, w.bgk, w.gk, w.bishop,
                 w.lichnerowicz, w.outcome)
-            assert lk.bgk_check(a, exact=False) == v.bgk
-            assert lk.gk_check(a, exact=False) == v.gk

@@ -185,6 +185,46 @@ def test_batch_strict(tmp_path, capsys):
     assert code == 2
 
 
+def _batch(tmp_path, capsys, specs):
+    batch = tmp_path / "jobs.ndjson"
+    batch.write_text("".join(json.dumps(spec) + "\n" for spec in specs))
+    code = cli.main(["batch", str(batch)])
+    return code, [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
+def test_batch_rejects_non_integer_normals(tmp_path, capsys):
+    bad = (
+        [[1.5, 0, 0], [1, 1, 0], [1, 1, 1], [1, 0, 1]],  # float entry
+        [[True, 0, 0], [1, 1, 0], [1, 1, 1], [1, 0, 1]],  # bool entry
+        [5, [1, 1, 0], [1, 1, 1]],  # a normal that is not a list
+    )
+    specs = [{"command": "cone-topology", "payload": {"cone": {"n": 3, "normals": v}}}
+             for v in bad]
+    specs.append({"command": "cone-topology", "payload": CONIFOLD_PAYLOAD})
+    code, reports = _batch(tmp_path, capsys, specs)
+    assert code == 1
+    assert [r.get("error", {}).get("code") for r in reports] == [
+        "SchemaError", "SchemaError", "SchemaError", None]
+    assert reports[3]["results"]["pi2_rank"] == 1
+
+
+def test_batch_rejects_bad_enumerate_payloads(tmp_path, capsys):
+    bad = (
+        {"template": [2, 3, 7.9, None], "range": [5, 8]},  # float entry
+        {"template": [2, 3, True, None], "range": [5, 8]},  # bool entry
+        {"template": [2, 3, 7, None], "range": [5]},  # one bound
+        {"template": [2, 3, 7, None], "range": [5, 8, 9]},  # three bounds
+    )
+    specs = [{"command": "link-enumerate", "payload": p} for p in bad]
+    specs.append({"command": "link-enumerate",
+                  "payload": {"template": [2, 3, 7, None], "range": [5, 8]}})
+    code, reports = _batch(tmp_path, capsys, specs)
+    assert code == 1
+    assert [r.get("error", {}).get("code") for r in reports] == [
+        "SchemaError"] * 4 + [None]
+    assert reports[4]["results"]["values"] == [5, 6, 7, 8]
+
+
 def test_report_round_trip():
     spec = {"command": "labc", "payload": {"a": 1, "b": 3, "c": 2, "to_cone": True}}
     report = cli.run(spec)

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as F
-from itertools import product
-from math import gcd
+from itertools import combinations, product
+from math import gcd, lcm
 
 import pytest
 
@@ -95,15 +95,46 @@ def test_gk_pass_implies_integral_sphere():
     assert found >= 30
 
 
-def test_float_fast_path_agrees_with_exact():
+def _assert_matches_fraction_oracle(a):
+    failed = oracles.bgk_by_fractions(a)
+    assert lk.bgk_check(a) == lk.BGKResult(failed is None, failed), a
+    assert lk.gk_check(a) == oracles.gk_by_fractions(a), a
+    assert lk.fano_check(a) == (failed != 1), a
+
+
+def test_integer_inequalities_match_fraction_oracle_random():
     rng = random.Random(23)
     for _ in range(5000):
         a = tuple(rng.randint(2, 200) for _ in range(rng.choice((3, 4, 5))))
-        assert lk.bgk_check(a, exact=False) == lk.bgk_check(a, exact=True)
-        assert lk.gk_check(a, exact=False) == lk.gk_check(a, exact=True)
-    # boundary ties must be settled exactly: sum 1/a == 1 exactly here
-    assert lk.bgk_check((2, 4, 6, 12), exact=False).failed_condition == 1
-    assert lk.bgk_check((2, 3, 6), exact=False).failed_condition == 1
+        _assert_matches_fraction_oracle(a)
+
+
+def test_integer_inequalities_match_fraction_oracle_exhaustive():
+    sweeps = ((3, range(2, 13)), (4, range(2, 13)), (5, range(2, 9)))
+    for length, values in sweeps:
+        for a in product(values, repeat=length):
+            _assert_matches_fraction_oracle(a)
+
+
+@pytest.mark.parametrize("a, condition", [
+    ((2, 3, 6), 1), ((2, 4, 6, 12), 1),
+    ((2, 3, 4, 6), 2), ((2, 3, 5, 15), 2),
+    ((2, 3, 6, 24), 3), ((3, 3, 4, 6), 3),
+])
+def test_bgk_equality_fails_strict_inequality(a, condition):
+    # each vector sits exactly on the bound of its condition
+    n = len(a) - 1
+    s = sum(F(1, x) for x in a)
+    bs = [gcd(x, lcm(*(y for j, y in enumerate(a) if j != i)))
+          for i, x in enumerate(a)]
+    bound = {
+        1: F(1),
+        2: 1 + F(n, (n - 1) * max(a)),
+        3: 1 + F(n, (n - 1) * max(p * q for p, q in combinations(bs, 2))),
+    }[condition]
+    assert s == bound
+    assert lk.bgk_check(a) == lk.BGKResult(False, condition)
+    assert oracles.bgk_by_fractions(a) == condition
 
 
 def test_verdict_permutation_invariance_sampled():
@@ -147,15 +178,6 @@ def test_enumerate_28_exotic_family():
         lk.parse_predicate("integral"),
     )
     assert len(hits) == 28  # every member is an integral homology sphere
-
-
-def test_enumerate_workers_deterministic():
-    pred = lk.parse_predicate("bgk")
-    serial = lk.enumerate_family((2, 3, 7, None), range(5, 42), pred)
-    parallel = lk.enumerate_family((2, 3, 7, None), range(5, 42), pred, workers=4)
-    assert [(k, v.to_dict()) for k, v in serial] == [
-        (k, v.to_dict()) for k, v in parallel
-    ]
 
 
 def test_enumerate_template_validation():
