@@ -66,6 +66,13 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _opt_int(payload, key, default):
+    val = payload.get(key, default)
+    if not _is_int(val):
+        raise SchemaError(f"field {key!r} must be an integer")
+    return val
+
+
 def _int_list(payload, key):
     val = _need(payload, key, list)
     if not all(map(_is_int, val)):
@@ -212,22 +219,22 @@ def _run_ypq(payload):
     }
     tolerances = {}
     strict_fail = False
+    samples = _opt_int(payload, "samples", 20)
+    if samples < 1:
+        raise SchemaError("field 'samples' must be at least 1")
+    seed = _opt_int(payload, "seed", 0)
     if payload.get("check_einstein", False):
-        samples = int(payload.get("samples", 20))
-        step = float(payload.get("step", 1e-3))
-        seed = int(payload.get("seed", 0))
         rng = random.Random(seed)
         pts = ypq.random_chart_points(Y, samples, rng)
-        res = [ypq.einstein_residual(Y, x, h=step) for x in pts]
+        res = [ypq.einstein_residual(Y, x) for x in pts]
         kil = [ypq.killing_residual(Y, x) for x in pts]
         eta = [ypq.reeb_norm_residual(Y, x) for x in pts]
-        tolerances = {"einstein": 1e-4, "killing": 1e-6, "eta": 1e-6}
+        tolerances = {"einstein": 1e-9, "killing": 1e-6, "eta": 1e-6}
         ok = (
-            max(res) <= 1e-4 and max(kil) <= 1e-6 and max(eta) <= 1e-6
+            max(res) <= 1e-9 and max(kil) <= 1e-6 and max(eta) <= 1e-6
         )
         results["einstein"] = {
             "samples": samples,
-            "step": step,
             "seed": seed,
             "max_residual": max(res),
             "mean_residual": sum(res) / len(res),
@@ -264,10 +271,17 @@ def _run_labc(payload):
 
 def _run_gale_dual(payload):
     charges = _need(payload, "charges", list)
-    if charges and isinstance(charges[0], int):
+    if charges and _is_int(charges[0]):
         charges = [charges]
+    if not all(isinstance(row, list) and all(map(_is_int, row)) for row in charges):
+        raise SchemaError("field 'charges' must be a row or a list of rows of integers")
     ncols = payload.get("ncols")
-    rays = latcore.gale_dual([list(map(int, row)) for row in charges], ncols=ncols)
+    if not (ncols is None or _is_int(ncols) and ncols >= 0):
+        raise SchemaError("field 'ncols' must be a non-negative integer or null")
+    width = len(charges[0]) if charges else ncols
+    if any(len(row) != width for row in charges) or ncols not in (None, width):
+        raise SchemaError("rows of 'charges' must all have ncols entries")
+    rays = latcore.gale_dual(charges, ncols=ncols)
     return {"rays": [list(r) for r in rays]}, {}, False
 
 
@@ -470,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", required=True, type=int)
     p.add_argument("--check-einstein", action="store_true")
     p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--step", type=float, default=1e-3)
 
     p = sub.add_parser("labc", parents=[common], help="L^{a,b,c} admissibility")
     p.add_argument("--a", required=True, type=int)
@@ -533,7 +546,6 @@ def _spec_from_args(args) -> dict:
                 "q": args.q,
                 "check_einstein": args.check_einstein,
                 "samples": args.samples,
-                "step": args.step,
                 "seed": args.seed,
             },
         }

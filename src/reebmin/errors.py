@@ -88,10 +88,6 @@ class DegenerateChartPoint(ReebminError):
     """Chart point too close to a coordinate degeneration."""
 
 
-class StepTooLarge(ReebminError):
-    """Finite-difference step too large for the point's interior margin."""
-
-
 # --- CLI ---
 
 class SchemaError(ReebminError):

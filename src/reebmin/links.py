@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 
 from . import obstruct
@@ -40,16 +41,17 @@ class BPExponents:
     def n(self) -> int:
         return len(self.a) - 1
 
-    @property
+    # computed once per instance: a verdict reads them in every test
+    @cached_property
     def degree(self) -> int:
         return lcm(*self.a)
 
-    @property
+    @cached_property
     def weights(self) -> tuple[int, ...]:
         d = self.degree
         return tuple(d // x for x in self.a)
 
-    @property
+    @cached_property
     def weight_sum(self) -> int:
         return sum(self.weights)
 

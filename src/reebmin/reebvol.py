@@ -311,12 +311,17 @@ def _newton(cone, tol, max_iter, xi0=None):
                 t *= 0.5
                 continue
             if cvol <= vol + 1e-4 * t * slope:
-                xi = cand
-                vol = cvol
                 break
             t *= 0.5
         else:
             raise ConvergenceFailure(it, "line search stalled")
+        if cvol >= vol:
+            # an accepted step that does not lower vol: the float floor in
+            # this frame, where |grad| may stay just above tol for good
+            xi, gnorm = polish(xi, gnorm)
+            return tuple(float(x) for x in xi), it, gnorm
+        xi = cand
+        vol = cvol
     raise ConvergenceFailure(max_iter)
 
 

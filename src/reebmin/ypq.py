@@ -1,11 +1,12 @@
 """Explicit Y^{p,q} Einstein metrics and the L^{a,b,c} toric bridge.
 
 The metric is evaluated in the local chart (theta, phi, y, psi, alpha);
-the Einstein property Ric = 4 g is then *verified* by pure finite
-differences of the metric components (Christoffel symbols and their
-derivatives), deliberately independent of any hand-derived curvature
-algebra.  The L^{a,b,c} admissibility conditions and the charge-vector
-route into the toric minimization live here too.
+the Einstein property Ric = 4 g is then *verified* from exact
+second-order jets of the metric components (forward-mode derivatives
+feeding the Christoffel symbols and their derivatives), deliberately
+independent of any hand-derived curvature algebra.  The L^{a,b,c}
+admissibility conditions and the charge-vector route into the toric
+minimization live here too.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import add
 
 import numpy as np
 
 from . import cones as _cones
 from . import latcore
-from .errors import BadParams, DegenerateChartPoint, StepTooLarge
+from .errors import BadParams, DegenerateChartPoint
 
 
 @dataclass(frozen=True)
@@ -124,29 +126,122 @@ def _interior_margin(Y: YpqParams, x: ChartPoint) -> float:
     return min(x.theta, math.pi - x.theta, x.y - Y.y1, Y.y2 - x.y)
 
 
-def metric_eval(Y: YpqParams, x: ChartPoint) -> np.ndarray:
-    """Metric components g_{ij} at x, coordinate order (theta, phi, y, psi, alpha)."""
+class Jet:
+    """Second-order jet in two variables (theta, y): a value, its gradient
+    (d_theta, d_y) and its Hessian (d_theta^2, d_theta d_y, d_y^2).
+
+    Closed under + - * / with floats and jets, integer powers, cos and sin.
+    The value part of every operation is the float operation itself, so a
+    jet carries the float result bit for bit.
+    """
+
+    __slots__ = ("v", "d", "h")
+
+    def __init__(self, v, d=(0.0, 0.0), h=(0.0, 0.0, 0.0)):
+        self.v, self.d, self.h = v, d, h
+
+    def _chain(self, f0, f1, f2):
+        # f(u) from f(u0), f'(u0) and f''(u0)
+        (a, b), (c, e, k) = self.d, self.h
+        return Jet(f0, (f1 * a, f1 * b),
+                   (f1 * c + f2 * a * a, f1 * e + f2 * a * b, f1 * k + f2 * b * b))
+
+    def __add__(self, o):
+        if not isinstance(o, Jet):
+            return Jet(self.v + o, self.d, self.h)
+        return Jet(self.v + o.v, tuple(map(add, self.d, o.d)), tuple(map(add, self.h, o.h)))
+
+    __radd__ = __add__
+
+    # a - b is a + (-b) exactly in IEEE arithmetic, value parts included
+    def __neg__(self):
+        return self * -1.0
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        if not isinstance(o, Jet):
+            return Jet(self.v * o, tuple(t * o for t in self.d), tuple(t * o for t in self.h))
+        (ua, ub), (wa, wb) = self.d, o.d
+        u, w = self.v, o.v
+        return Jet(u * w, (u * wa + w * ua, u * wb + w * ub), (
+            u * o.h[0] + w * self.h[0] + 2.0 * ua * wa,
+            u * o.h[1] + w * self.h[1] + ua * wb + ub * wa,
+            u * o.h[2] + w * self.h[2] + 2.0 * ub * wb,
+        ))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if not isinstance(o, Jet):
+            return Jet(self.v / o, tuple(t / o for t in self.d), tuple(t / o for t in self.h))
+        # r = u / w from r w = u, differentiated once and twice
+        r = self.v / o.v
+        (ua, ub), (wa, wb) = self.d, o.d
+        ra, rb = (ua - r * wa) / o.v, (ub - r * wb) / o.v
+        return Jet(r, (ra, rb), (
+            (self.h[0] - 2.0 * ra * wa - r * o.h[0]) / o.v,
+            (self.h[1] - ra * wb - rb * wa - r * o.h[1]) / o.v,
+            (self.h[2] - 2.0 * rb * wb - r * o.h[2]) / o.v,
+        ))
+
+    def __rtruediv__(self, o):
+        return Jet(o) / self
+
+    def __pow__(self, n: int):
+        v = self.v
+        return self._chain(v**n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2))
+
+    def cos(self):
+        c, s = math.cos(self.v), math.sin(self.v)
+        return self._chain(c, -s, -c)
+
+    def sin(self):
+        c, s = math.cos(self.v), math.sin(self.v)
+        return self._chain(s, c, -s)
+
+
+def _value(t) -> float:
+    return t.v if isinstance(t, Jet) else t
+
+
+def _components(Y: YpqParams, x: ChartPoint, y, ct, st) -> dict:
+    """The metric components g_ij (i <= j, non-zero ones only) at x.
+
+    y, ct = cos(theta) and st = sin(theta) are floats or jets; the chart
+    checks read x and the value parts.
+    """
     if _interior_margin(Y, x) <= 0:
         raise DegenerateChartPoint(
             f"chart degenerates at theta = {x.theta}, y = {x.y}"
         )
-    a_, y = Y.a, x.y
     A = (1.0 - y) / 6.0
     W = w_of(Y, y)
     Q = q_of(Y, y)
     F = f_of(Y, y)
-    if W <= 0 or Q <= 0:
-        raise DegenerateChartPoint(f"w(y) q(y) <= 0 at y = {y}")
-    ct, st = math.cos(x.theta), math.sin(x.theta)
+    if _value(W) <= 0 or _value(Q) <= 0:
+        raise DegenerateChartPoint(f"w(y) q(y) <= 0 at y = {x.y}")
+    return {
+        (0, 0): A,
+        (1, 1): A * st * st + (Q / 9.0 + W * F * F) * ct * ct,
+        (2, 2): 1.0 / (W * Q),
+        (3, 3): Q / 9.0 + W * F * F,
+        (4, 4): W,
+        (1, 3): -(Q / 9.0 + W * F * F) * ct,
+        (1, 4): -W * F * ct,
+        (3, 4): W * F,
+    }
+
+
+def metric_eval(Y: YpqParams, x: ChartPoint) -> np.ndarray:
+    """Metric components g_{ij} at x, coordinate order (theta, phi, y, psi, alpha)."""
     g = np.zeros((5, 5))
-    g[0, 0] = A
-    g[1, 1] = A * st * st + (Q / 9.0 + W * F * F) * ct * ct
-    g[2, 2] = 1.0 / (W * Q)
-    g[3, 3] = Q / 9.0 + W * F * F
-    g[4, 4] = W
-    g[1, 3] = g[3, 1] = -(Q / 9.0 + W * F * F) * ct
-    g[1, 4] = g[4, 1] = -W * F * ct
-    g[3, 4] = g[4, 3] = W * F
+    for (i, j), v in _components(Y, x, x.y, math.cos(x.theta), math.sin(x.theta)).items():
+        g[i, j] = g[j, i] = v
     return g
 
 
@@ -157,34 +252,40 @@ def _metric_fn(Y: YpqParams):
     return fn
 
 
-# --- generic finite-difference curvature -----------------------------------
+def metric_jets(Y: YpqParams, x: ChartPoint) -> dict:
+    """The components of metric_eval as jets in (theta, y) at x."""
+    theta = Jet(x.theta, (1.0, 0.0))
+    return _components(Y, x, Jet(x.y, (0.0, 1.0)), theta.cos(), theta.sin())
 
 
-def christoffel_fd(metric, x: np.ndarray, h: float) -> np.ndarray:
-    """Gamma^k_{ij} by central differences of the metric components."""
-    dim = len(x)
-    ginv = np.linalg.inv(metric(x))
-    dg = np.empty((dim, dim, dim))
-    for l in range(dim):
-        xp, xm = x.copy(), x.copy()
-        xp[l] += h
-        xm[l] -= h
-        dg[l] = (metric(xp) - metric(xm)) / (2.0 * h)
-    # S[l,i,j] = d_i g_{lj} + d_j g_{li} - d_l g_{ij}
+def ricci_from_jets(components: dict, dim: int, slots: tuple[int, int]) -> np.ndarray:
+    """Ricci tensor from the second-order jets of the metric components.
+
+    components maps (i, j), i <= j, to a Jet or a float; the two jet
+    variables are the coordinates slots[0] and slots[1], and no component
+    depends on any other coordinate.  Gamma comes from g^-1 and dg, dGamma
+    from d(g^-1) = -g^-1 (dg) g^-1, all exact up to rounding.
+    """
+    g = np.zeros((dim, dim))
+    dg = np.zeros((dim, dim, dim))             # dg[l, i, j] = d_l g_ij
+    ddg = np.zeros((dim, dim, dim, dim))       # ddg[a, l, i, j] = d_a d_l g_ij
+    s0, s1 = slots
+    for (i, j), t in components.items():
+        if not isinstance(t, Jet):
+            t = Jet(t)
+        for (k, l) in ((i, j), (j, i)):
+            g[k, l] = t.v
+            dg[s0, k, l], dg[s1, k, l] = t.d
+            ddg[s0, s0, k, l], ddg[s0, s1, k, l], ddg[s1, s1, k, l] = t.h
+            ddg[s1, s0, k, l] = t.h[1]
+    ginv = np.linalg.inv(g)
+    # S[l,i,j] = d_i g_{lj} + d_j g_{li} - d_l g_{ij}, and its derivatives
     s = np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg) - dg
-    return 0.5 * np.einsum("kl,lij->kij", ginv, s)
-
-
-def ricci_fd_metric(metric, x: np.ndarray, h: float) -> np.ndarray:
-    """Ricci tensor of an arbitrary metric function, second-order central FD."""
-    dim = len(x)
-    gamma = christoffel_fd(metric, x, h)
-    dgamma = np.empty((dim, dim, dim, dim))
-    for a in range(dim):
-        xp, xm = x.copy(), x.copy()
-        xp[a] += h
-        xm[a] -= h
-        dgamma[a] = (christoffel_fd(metric, xp, h) - christoffel_fd(metric, xm, h)) / (2.0 * h)
+    ds = np.einsum("ailj->alij", ddg) + np.einsum("ajli->alij", ddg) - ddg
+    dginv = -np.einsum("km,amn,nl->akl", ginv, dg, ginv)
+    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, s)
+    dgamma = 0.5 * (np.einsum("akl,lij->akij", dginv, s)
+                    + np.einsum("kl,alij->akij", ginv, ds))
     term1 = np.einsum("kkij->ij", dgamma)
     term2 = np.einsum("jkki->ij", dgamma)
     contracted = np.einsum("kkl->l", gamma)
@@ -194,35 +295,29 @@ def ricci_fd_metric(metric, x: np.ndarray, h: float) -> np.ndarray:
     return 0.5 * (ric + ric.T)
 
 
-def ricci_fd(Y: YpqParams, x: ChartPoint, h: float = 1e-3,
-             richardson: bool = True) -> np.ndarray:
-    """Ricci tensor of the Y^{p,q} metric at x by finite differences.
+def ricci_fd(Y: YpqParams, x: ChartPoint) -> np.ndarray:
+    """Ricci tensor of the Y^{p,q} metric at x.
 
-    One Richardson level on top of the second-order scheme; requires the
-    point to sit at least 10h inside every coordinate degeneration.
+    The derivatives dg and ddg are exact second-order jets of the metric
+    components in (theta, y), the only coordinates the metric reads, so
+    there is no step size and no truncation error.
     """
-    if _interior_margin(Y, x) < 10.0 * h:
-        raise StepTooLarge(
-            f"margin {_interior_margin(Y, x):.4f} < 10 h = {10 * h:.4f}"
-        )
-    fn = _metric_fn(Y)
-    coords = x.coords()
-    if not richardson:
-        return ricci_fd_metric(fn, coords, h)
-    r_h = ricci_fd_metric(fn, coords, h)
-    r_h2 = ricci_fd_metric(fn, coords, h / 2.0)
-    return (4.0 * r_h2 - r_h) / 3.0
+    return ricci_from_jets(metric_jets(Y, x), 5, (0, 2))
 
 
-def einstein_residual(Y: YpqParams, x: ChartPoint, h: float = 1e-3) -> float:
+def einstein_residual(Y: YpqParams, x: ChartPoint) -> float:
     """max |Ric - 4 g| entrywise (the Einstein constant is 2(n-1) = 4)."""
-    ric = ricci_fd(Y, x, h)
+    ric = ricci_fd(Y, x)
     return float(np.max(np.abs(ric - 4.0 * metric_eval(Y, x))))
 
 
 def killing_residual(Y: YpqParams, x: ChartPoint, h: float = 1e-4) -> float:
     """max |L_xi g|: the Reeb field has constant components, so this is
-    xi^a d_a g_{ij} by central differences along psi and alpha."""
+    xi^a d_a g_{ij} by central differences along psi and alpha.
+
+    It is 0.0 by construction, because metric_eval never reads phi, psi
+    or alpha: the check guards that the chart keeps that form.
+    """
     fn = _metric_fn(Y)
     coords = x.coords()
     lie = np.zeros((5, 5))
@@ -243,9 +338,9 @@ def reeb_norm_residual(Y: YpqParams, x: ChartPoint) -> float:
     return abs(float(xi @ g @ xi) - 1.0)
 
 
-def ricci_reeb_residual(Y: YpqParams, x: ChartPoint, h: float = 1e-3) -> float:
+def ricci_reeb_residual(Y: YpqParams, x: ChartPoint) -> float:
     """|Ric(xi, xi) - 4|, checked independently of the full Einstein test."""
-    ric = ricci_fd(Y, x, h)
+    ric = ricci_fd(Y, x)
     xi = np.array(REEB_COMPONENTS)
     return abs(float(xi @ ric @ xi) - 4.0)
 

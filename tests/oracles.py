@@ -7,7 +7,8 @@ minimizers via grid search instead of Newton, signatures via Fraction
 arithmetic instead of scaled-integer counting, the integer-relation
 search on its whole grid at once instead of block by block, and the
 Boyer-Galicki-Kollar and Ghigi-Kollar inequalities in Fractions instead
-of integers cleared of the denominator lcm(a).
+of integers cleared of the denominator lcm(a), and the Ricci tensor by
+central finite differences of the metric instead of exact jets.
 """
 
 from fractions import Fraction
@@ -114,6 +115,40 @@ def fd_volume_gradient(vol_fn, xi, h=1e-5):
         dn[i] -= h
         grad.append((vol_fn(up) - vol_fn(dn)) / (2 * h))
     return grad
+
+
+def christoffel_fd(metric, x, h):
+    """Gamma^k_{ij} by central differences of the metric components."""
+    dim = len(x)
+    ginv = np.linalg.inv(metric(x))
+    dg = np.empty((dim, dim, dim))
+    for l in range(dim):
+        xp, xm = x.copy(), x.copy()
+        xp[l] += h
+        xm[l] -= h
+        dg[l] = (metric(xp) - metric(xm)) / (2.0 * h)
+    # S[l,i,j] = d_i g_{lj} + d_j g_{li} - d_l g_{ij}
+    s = np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg) - dg
+    return 0.5 * np.einsum("kl,lij->kij", ginv, s)
+
+
+def ricci_fd_metric(metric, x, h):
+    """Ricci tensor of an arbitrary metric function, second-order central FD."""
+    dim = len(x)
+    gamma = christoffel_fd(metric, x, h)
+    dgamma = np.empty((dim, dim, dim, dim))
+    for a in range(dim):
+        xp, xm = x.copy(), x.copy()
+        xp[a] += h
+        xm[a] -= h
+        dgamma[a] = (christoffel_fd(metric, xp, h) - christoffel_fd(metric, xm, h)) / (2.0 * h)
+    term1 = np.einsum("kkij->ij", dgamma)
+    term2 = np.einsum("jkki->ij", dgamma)
+    contracted = np.einsum("kkl->l", gamma)
+    term3 = np.einsum("l,lij->ij", contracted, gamma)
+    term4 = np.einsum("rjl,lri->ij", gamma, gamma)
+    ric = term1 - term2 + term3 - term4
+    return 0.5 * (ric + ric.T)
 
 
 def grid_minimize(vol_fn, seed_xi, half_width, steps=41):

@@ -1,9 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from reebmin import cli
 from reebmin.errors import SchemaError
+
+# bad ypq and gale-dual payloads, one per line, then two valid jobs
+BAD_PAYLOADS = Path(__file__).parent / "data" / "bad_payloads.ndjson"
 
 CONIFOLD_PAYLOAD = {
     "cone": {"n": 3, "normals": [[1, 0, 0], [1, 1, 0], [1, 1, 1], [1, 0, 1]]}
@@ -63,6 +67,11 @@ def test_run_rejects_bad_specs():
         cli.run({"command": "link-check", "payload": {"exponents": [2, "x"]}})
     with pytest.raises(SchemaError):
         cli.run({"command": "join", "payload": {"ord": [1], "index": [1], "n": [2]}})
+    # row lengths that disagree with each other or with ncols
+    with pytest.raises(SchemaError):
+        cli.run({"command": "gale-dual", "payload": {"charges": [[1, 1, -1, -1], [1, 1, -1]]}})
+    with pytest.raises(SchemaError):
+        cli.run({"command": "gale-dual", "payload": {"charges": [1, 1, -1, -1], "ncols": 7}})
 
 
 def test_main_minimize_json(capsys, tmp_path):
@@ -126,8 +135,24 @@ def test_main_ypq_einstein(capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     e = out["results"]["einstein"]
-    assert e["pass"] and e["max_residual"] <= 1e-4
-    assert out["tolerances"]["einstein"] == 1e-4
+    assert e["pass"] and e["max_residual"] <= 1e-9
+    assert out["tolerances"]["einstein"] == 1e-9
+
+
+@pytest.mark.parametrize("argv", [
+    ["--p", "8", "--q", "1", "--samples", "20"],
+    ["--p", "6", "--q", "1", "--samples", "40", "--seed", "3"],
+    ["--p", "12", "--q", "1"],
+    ["--p", "20", "--q", "1"],
+])
+def test_main_ypq_einstein_small_q_over_p(argv, capsys):
+    # finite differences failed these exact metrics or stopped on the step size
+    code = cli.main(["ypq", "--check-einstein", "--strict"] + argv)
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    e = out["results"]["einstein"]
+    assert e["pass"] and e["max_residual"] <= 1e-9
+    assert "step" not in e and "step" not in out["input"]
 
 
 def test_main_gale_dual(capsys):
@@ -223,6 +248,16 @@ def test_batch_rejects_bad_enumerate_payloads(tmp_path, capsys):
     assert [r.get("error", {}).get("code") for r in reports] == [
         "SchemaError"] * 4 + [None]
     assert reports[4]["results"]["values"] == [5, 6, 7, 8]
+
+
+def test_batch_rejects_bad_ypq_and_gale_dual_payloads(capsys):
+    code = cli.main(["batch", str(BAD_PAYLOADS)])
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code == 1
+    assert [r.get("error", {}).get("code") for r in reports] == [
+        "SchemaError"] * 9 + [None, None]
+    assert reports[9]["results"]["einstein"]["samples"] == 2
+    assert reports[10]["results"]["rays"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1]]
 
 
 def test_report_round_trip():

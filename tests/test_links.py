@@ -199,6 +199,21 @@ def test_verdict_outcomes():
     assert v.outcome == lk.OBSTRUCTED and v.reason == "bishop"
 
 
+@pytest.mark.parametrize("a", [(2, 3, 7, 5), (2, 3, 5, 61), (2, 3, 7, 43), (2, 2, 2, 21)])
+def test_verdict_computes_degree_once(a, monkeypatch):
+    calls = []
+
+    def counting_lcm(*args):
+        calls.append(args)
+        return lcm(*args)
+
+    monkeypatch.setattr(lk, "lcm", counting_lcm)
+    lk.link_verdict(a)
+    # d = lcm(a) once; BGK (3) adds one lcm per exponent when it is reached
+    assert calls.count(a) == 1
+    assert len(calls) <= 1 + len(a)
+
+
 def test_exotic_sphere_signatures():
     assert lk.milnor_signature((5, 3, 2, 2, 2)) == 8
     assert lk.bp8_class((5, 3, 2, 2, 2)) == 1

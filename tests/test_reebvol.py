@@ -248,6 +248,24 @@ def test_minimize_convergence_failure_reports_iterations():
     assert err.value.iterations == 1
 
 
+@pytest.mark.parametrize("moved, standard", [
+    # the d = 4 parabola cone, lifted from (k, k^2), in a sheared frame
+    ([[0, 0, -1], [3, -1, -1], [10, -4, -1], [21, -9, -1]],
+     [[1, k, k * k] for k in range(4)]),
+    # Y^{6,1} in a sheared frame
+    ([[0, 2, 1], [0, 5, 3], [6, 32, 19], [5, 24, 14]],
+     [[1, 0, 0], [1, 1, 0], [1, 6, 6], [1, 4, 5]]),
+])
+def test_minimize_exits_at_float_floor_in_sheared_frames(moved, standard):
+    # |grad| stays just above GRAD_TOL in these frames; the accepted step
+    # that no longer lowers vol must end Newton instead of the iteration cap
+    res = rv.minimize_reeb(cn.validate_cone(moved))
+    ref = rv.minimize_reeb(cn.validate_cone(standard))
+    assert res.iterations < 10
+    assert res.regularity == ref.regularity == "irregular"
+    assert res.normalized_volume == pytest.approx(ref.normalized_volume, rel=1e-10)
+
+
 def test_minimizer_unique_across_restarts():
     rng = random.Random(6)
     reference = rv.minimize_reeb(Y21).xi_star

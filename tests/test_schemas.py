@@ -1,0 +1,34 @@
+"""The JSON schemas in schemas/ against the handlers that read the payloads.
+
+jsonschema is a test extra only; the runtime never imports it.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from reebmin import cli
+from reebmin.errors import SchemaError
+
+jsonschema = pytest.importorskip("jsonschema")
+
+ROOT = Path(__file__).resolve().parent.parent
+BAD_PAYLOADS = Path(__file__).parent / "data" / "bad_payloads.ndjson"
+
+
+def payload_schema(command):
+    schema = json.loads((ROOT / "schemas" / "jobspec.schema.json").read_text())
+    return jsonschema.Draft202012Validator(schema["$defs"][command])
+
+
+def test_jobspec_schema_agrees_with_handlers():
+    for line in BAD_PAYLOADS.read_text().splitlines():
+        spec = json.loads(line)
+        try:
+            cli.run(spec)
+            accepted = True
+        except SchemaError:
+            accepted = False
+        assert payload_schema(spec["command"]).is_valid(spec["payload"]) == accepted, line
+
