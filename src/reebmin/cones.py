@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 from . import latcore
 from .errors import (
@@ -33,14 +33,31 @@ from .latcore import dot, matvec
 
 @dataclass(frozen=True)
 class MomentCone:
-    """Strictly convex rational polyhedral cone given by primitive inward normals."""
+    """Strictly convex rational polyhedral cone given by primitive inward normals.
+
+    rays holds the sorted primitive extreme rays of C*, found while the
+    normals were validated; they are determined by the normals and take no
+    part in equality, hashing or the JSON form.
+    """
 
     n: int
     normals: tuple[tuple[int, ...], ...]
+    rays: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @property
     def d(self) -> int:
         return len(self.normals)
+
+    @cached_property
+    def simplices(self) -> tuple[tuple[int, ...], ...]:
+        """The pulling triangulation of C*, computed on first use."""
+        return _pulling_triangulation(self.rays, self.normals, self.n)
+
+    @cached_property
+    def simplex_dets(self) -> tuple[int, ...]:
+        """|det| of the integer ray matrix of each simplex, in simplices order."""
+        rays = self.rays
+        return tuple(abs(latcore.int_det([rays[j] for j in s])) for s in self.simplices)
 
     def to_dict(self) -> dict:
         return {"n": self.n, "normals": [list(v) for v in self.normals]}
@@ -147,23 +164,24 @@ def validate_cone(normals) -> MomentCone:
     for i, v in enumerate(vs):
         if not latcore.is_primitive(v):
             raise NonPrimitive(i)
-    if latcore.rank([list(v) for v in vs]) < n:
+    if latcore.rank(vs) < n:
         raise NotStrictlyConvex("normals do not span; the cone contains a line")
     rays = _extreme_rays_pointed(vs, n)
-    if not rays or latcore.rank([list(r) for r in rays]) < n:
+    if not rays or latcore.rank(rays) < n:
         raise NotStrictlyConvex("empty interior: the cone is not full-dimensional")
     counts = Counter(vs)
     for i, v in enumerate(vs):
-        tight = [list(r) for r in rays if dot(r, v) == 0]
+        tight = [r for r in rays if dot(r, v) == 0]
         if counts[v] > 1 or latcore.rank(tight) < n - 1:
             raise RedundantNormal(i)
-    return MomentCone(n=n, normals=tuple(vs))
+    return MomentCone(n=n, normals=tuple(vs), rays=rays)
 
 
+# the cache only serves the benchmark tracer, which reads its cache_info()
 @lru_cache(maxsize=None)
 def extreme_rays(cone: MomentCone) -> tuple[tuple[int, ...], ...]:
     """Primitive extreme rays of the moment cone C* itself."""
-    return _extreme_rays_pointed(cone.normals, cone.n)
+    return cone.rays
 
 
 def dual_cone(cone: MomentCone) -> tuple[tuple[int, ...], ...]:
@@ -172,25 +190,26 @@ def dual_cone(cone: MomentCone) -> tuple[tuple[int, ...], ...]:
     Computed honestly from the generator description of C*, so for a valid
     minimal cone this recovers the normal set (sorted).
     """
-    return _extreme_rays_pointed(extreme_rays(cone), cone.n)
+    return _extreme_rays_pointed(cone.rays, cone.n)
 
 
-@lru_cache(maxsize=None)
 def triangulation(cone: MomentCone) -> tuple[tuple[int, ...], ...]:
     """Simplicial decomposition of C* on its extreme rays.
 
-    Returns n-tuples of ray indices (into extreme_rays) whose simplicial
+    Returns n-tuples of ray indices (into cone.rays) whose simplicial
     subcones cover C* with disjoint interiors; the pulling triangulation
-    with the lexicographically first ray as apex at every level.
+    with the lexicographically first ray as apex at every level.  Computed
+    once per cone object and kept on it.
     """
-    rays = extreme_rays(cone)
-    normals = cone.normals
+    return cone.simplices
 
+
+def _pulling_triangulation(rays, normals, n):
     def face_facets(face, k):
         found = set()
         for v in normals:
             sub = tuple(j for j in face if dot(rays[j], v) == 0)
-            if sub and sub != face and latcore.rank([list(rays[j]) for j in sub]) == k - 1:
+            if sub and sub != face and latcore.rank([rays[j] for j in sub]) == k - 1:
                 found.add(sub)
         return found
 
@@ -206,7 +225,7 @@ def triangulation(cone: MomentCone) -> tuple[tuple[int, ...], ...]:
                 pieces.append((apex,) + simplex)
         return pieces
 
-    return tuple(rec(tuple(range(len(rays))), cone.n))
+    return tuple(rec(tuple(range(len(rays))), n))
 
 
 def gorenstein_normalize(cone: MomentCone) -> GorensteinCone:
@@ -215,7 +234,8 @@ def gorenstein_normalize(cone: MomentCone) -> GorensteinCone:
     Solves exactly for the primitive integer covector u with <u, v_a> = ell
     common and minimal positive, then completes u to a unimodular basis
     change.  Raises NotQGorenstein if the normals lie on no common affine
-    hyperplane of that kind.
+    hyperplane of that kind.  The rays move with the normals: a normal v
+    becomes T v and a ray r becomes (T^-1)^T r, so every pairing is kept.
     """
     vs = cone.normals
     n = cone.n
@@ -238,15 +258,17 @@ def gorenstein_normalize(cone: MomentCone) -> GorensteinCone:
         g = -g
     ell = dot(u, vs[0])
     assert ell == abs(g) >= 1
-    T = latcore.unimodular_completion(u)
-    new_normals = tuple(tuple(matvec(T, list(v))) for v in vs)
+    T, T_inv = latcore.unimodular_completion(u)
+    new_normals = tuple(tuple(matvec(T, v)) for v in vs)
     assert all(v[0] == ell for v in new_normals)
+    T_inv_t = latcore.transpose(T_inv)
+    new_rays = tuple(sorted(tuple(matvec(T_inv_t, r)) for r in cone.rays))
     return GorensteinCone(
         base=cone,
         ell=ell,
         covector=u,
         basis_change=tuple(tuple(row) for row in T),
-        cone=MomentCone(n=n, normals=new_normals),
+        cone=MomentCone(n=n, normals=new_normals, rays=new_rays),
     )
 
 

@@ -225,10 +225,29 @@ def smith_normal_form(M: IntMatrix) -> tuple[list[list[int]], list[list[int]], l
 
 
 def rank(M: IntMatrix) -> int:
-    if not M or not M[0]:
-        return 0
-    _, D, _ = smith_normal_form(M)
-    return sum(1 for i in range(min(len(D), len(D[0]))) if D[i][i] != 0)
+    """Rank over Q by fraction-free (Bareiss) elimination.
+
+    After each pivot every remaining entry is a minor of M, so the division
+    by the previous pivot is exact and entries stay integers.
+    """
+    A = [[int(x) for x in row] for row in M]
+    m = len(A)
+    r, prev = 0, 1
+    for c in range(len(A[0]) if m else 0):
+        piv = next((i for i in range(r, m) if A[i][c]), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        top = A[r]
+        p = top[c]
+        for i in range(r + 1, m):
+            a = A[i][c]
+            A[i] = [(x * p - a * y) // prev for x, y in zip(A[i], top)]
+        prev = p
+        r += 1
+        if r == m:
+            break
+    return r
 
 
 def invariant_factors(M: IntMatrix) -> list[int]:
@@ -324,11 +343,12 @@ def gale_dual(charges: IntMatrix, ncols: int | None = None) -> list[tuple[int, .
     return rays
 
 
-def unimodular_completion(u: IntVector) -> list[list[int]]:
+def unimodular_completion(u: IntVector) -> tuple[list[list[int]], list[list[int]]]:
     """Extend a primitive integer covector to a unimodular matrix.
 
-    Returns T with |det T| = 1 whose first row is u, so that the first
-    coordinate of T @ v equals <u, v> for every v.
+    Returns (T, T^-1) with |det T| = 1 and first row of T equal to u, so
+    that the first coordinate of T @ v equals <u, v> for every v.  T^-1 is
+    the column transform V of the Smith form of u, which T is built from.
     """
     if not is_primitive(u):
         raise ValueError(f"{tuple(u)} is not primitive")
@@ -342,4 +362,4 @@ def unimodular_completion(u: IntVector) -> list[list[int]]:
     assert w == [1] + [0] * (n - 1)
     T = unimodular_inverse(V)
     assert T[0] == list(u)
-    return T
+    return T, V

@@ -2,7 +2,7 @@
 
 The characteristic polytope Delta(xi) = C* cut by <y, xi> <= 1/2 is a cone
 from the origin over the compact slice H(xi).  On each simplicial piece of
-the cached cone triangulation (rays u_j, pairings q_j = <u_j, xi>) the cut
+the cone's triangulation (rays u_j, pairings q_j = <u_j, xi>) the cut
 vertices are p_j = u_j / (2 q_j) and, with Dp = |det u| / prod(2 q_j),
 
     vol    contribution:  Dp / n!
@@ -10,8 +10,9 @@ vertices are p_j = u_j / (2 q_j) and, with Dp = |det u| / prod(2 q_j),
     d2 vol / d xi2:       (4 Dp / n!) * (S S^T + sum_j p_j p_j^T),  S = sum_j p_j
 
 These closed forms are the per-simplex moment integrals of 1, y_i and
-y_i y_j over H(xi); they are exact in Fraction arithmetic and power both
-the certification path and the float Newton iteration.  The Riemannian
+y_i y_j over H(xi); they are exact in Fraction arithmetic and power the
+exact volume and the float Newton iteration.  Certification clears the
+gradient's denominators and tests an integer numerator.  The Riemannian
 volume is pinned by the flat model: on the height-n slice
 vol(S, g) = 2 n (2 pi)^n vol(Delta), so the flat cone gives exactly
 vol(S^(2n-1)) = 2 pi^n / (n-1)!.
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .errors import (
     NotGorenstein,
     ReebNotInterior,
 )
-from .latcore import dot, int_det
+from .latcore import dot
 
 GRAD_TOL = 1e-10
 
@@ -64,18 +64,8 @@ def _resolve(cone):
     return cone
 
 
-@lru_cache(maxsize=None)
-def _tri_dets(cone) -> tuple[int, ...]:
-    """|det| of the integer ray matrix of each triangulation simplex."""
-    rays = _cones.extreme_rays(cone)
-    return tuple(
-        abs(int_det([list(rays[j]) for j in simplex]))
-        for simplex in _cones.triangulation(cone)
-    )
-
-
 def _pairings(cone, xi):
-    rays = _cones.extreme_rays(cone)
+    rays = cone.rays
     pair = [dot(r, xi) for r in rays]
     if any(p <= 0 for p in pair):
         raise ReebNotInterior(f"xi = {tuple(xi)} is not interior to the dual cone")
@@ -97,7 +87,7 @@ def _moments(cone, xi, order=0):
     vol = zero
     grad = [zero] * n if order >= 1 else None
     hess = [[zero] * n for _ in range(n)] if order >= 2 else None
-    for simplex, det_u in zip(_cones.triangulation(cone), _tri_dets(cone)):
+    for simplex, det_u in zip(_cones.triangulation(cone), cone.simplex_dets):
         denom = 1
         for j in simplex:
             denom = denom * (2 * pair[j])
@@ -252,7 +242,7 @@ def _reduced(cone, xi, order):
 
 def _newton(cone, tol, max_iter, xi0=None):
     n = cone.n
-    rays = _cones.extreme_rays(cone)
+    rays = cone.rays
     if xi0 is None:
         sigma = [sum(v[i] for v in cone.normals) for i in range(n)]
         xi = [n * s / sigma[0] for s in sigma]  # interior seed on the slice
@@ -325,21 +315,61 @@ def _newton(cone, tol, max_iter, xi0=None):
     raise ConvergenceFailure(max_iter)
 
 
+def _gradient_vanishes(cone, xi):
+    """Whether the exact restricted gradient of vol vanishes at rational xi.
+
+    With D the lcm of the denominators of xi, the pairings P_j = <r_j, D xi>
+    are integers and, by the closed form in the module docstring,
+
+        grad vol = -c sum_sigma det_sigma sum_{j in sigma} r_j prod_{k != j} P_k
+                   / (prod_sigma P)^2,   c = D^(n+1) / (2^n n!) > 0,
+
+    so the gradient on the slice vanishes iff the integer numerator of that
+    sum over the common denominator lcm_sigma (prod_sigma P)^2 is zero in
+    coordinates 1..n-1.  Raises ReebNotInterior when some P_j <= 0.
+    """
+    n = cone.n
+    rays = cone.rays
+    xi = [Fraction(x) for x in xi]
+    D = math.lcm(*(x.denominator for x in xi))
+    v = [x.numerator * (D // x.denominator) for x in xi]
+    P = [dot(r, v) for r in rays]
+    if any(p <= 0 for p in P):
+        raise ReebNotInterior(f"xi = {tuple(xi)} is not interior to the dual cone")
+    terms = []
+    for simplex, det_u in zip(_cones.triangulation(cone), cone.simplex_dets):
+        full = math.prod(P[j] for j in simplex)
+        num = [0] * (n - 1)
+        for j in simplex:
+            rest = full // P[j]
+            r = rays[j]
+            for i in range(1, n):
+                num[i - 1] += r[i] * rest
+        terms.append((full * full, det_u, num))
+    common = math.lcm(*(sq for sq, _, _ in terms))
+    total = [0] * (n - 1)
+    for sq, det_u, num in terms:
+        f = det_u * (common // sq)
+        for i in range(n - 1):
+            total[i] += f * num[i]
+    return not any(total)
+
+
 def _certify_rational(cone, xi, den_bounds):
     """Try to promote a float minimizer to an exact rational critical point.
 
     Continued-fraction candidates per coordinate; accepted only when the
-    exact restricted gradient vanishes identically.
+    exact restricted gradient vanishes identically, decided on its integer
+    numerator.
     """
     n = cone.n
     for bound in den_bounds:
         cand = [Fraction(n)] + [Fraction(x).limit_denominator(bound) for x in xi[1:]]
         try:
-            _, grad, _ = _reduced(cone, cand, order=1)
+            if _gradient_vanishes(cone, cand):
+                return tuple(cand)
         except ReebNotInterior:
             continue
-        if all(g == 0 for g in grad):
-            return tuple(cand)
     return None
 
 

@@ -7,8 +7,10 @@ minimizers via grid search instead of Newton, signatures via Fraction
 arithmetic instead of scaled-integer counting, the integer-relation
 search on its whole grid at once instead of block by block, and the
 Boyer-Galicki-Kollar and Ghigi-Kollar inequalities in Fractions instead
-of integers cleared of the denominator lcm(a), and the Ricci tensor by
-central finite differences of the metric instead of exact jets.
+of integers cleared of the denominator lcm(a), the Ricci tensor by
+central finite differences of the metric instead of exact jets, and n = 3
+toric volumes and their slice gradients by the Martelli-Sparks-Yau formula
+over consecutive normals instead of rays and a triangulation.
 """
 
 from fractions import Fraction
@@ -198,3 +200,52 @@ def has_integer_relation_full_grid(b, x, bound=512, tol=1e-7):
     resid = np.abs(combo - np.round(combo))
     scale = 1.0 + np.abs(m1)[:, None] * abs(b) + np.abs(m2)[None, :] * abs(x)
     return bool((resid <= tol * scale).any())
+
+
+def _cross3(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def cyclic_order(normals):
+    """Height-basis normals (1, w_a) sorted by the angle of w_a about their mean."""
+    cx = sum(v[1] for v in normals) / len(normals)
+    cy = sum(v[2] for v in normals) / len(normals)
+    return sorted(normals, key=lambda v: np.arctan2(v[2] - cy, v[1] - cx))
+
+
+def msy_volume(normals, b):
+    """Martelli-Sparks-Yau vol(Y)/vol(S^5) of a toric CY3 cone at Reeb vector b.
+
+    normals are the inward normals (1, w_a) of the height basis in cyclic
+    order; exact for exact b.  The sign of the cyclic orientation cancels
+    in the absolute value.
+    """
+    d = len(normals)
+    total = 0
+    for a in range(d):
+        u, v, w = normals[a - 1], normals[a], normals[(a + 1) % d]
+        num = _dot(u, _cross3(v, w))
+        total += Fraction(num) / (_dot(b, _cross3(u, v)) * _dot(b, _cross3(v, w)))
+    return abs(total / b[0])
+
+
+def msy_slice_gradient(normals, b):
+    """Exact d(msy_volume)/d(b_2, .., b_n) at fixed b_1, as Fractions."""
+    b = [Fraction(x) for x in b]
+    d = len(normals)
+    grad = [Fraction(0)] * (len(b) - 1)
+    total = Fraction(0)
+    for a in range(d):
+        u, v, w = normals[a - 1], normals[a], normals[(a + 1) % d]
+        num = _dot(u, _cross3(v, w))
+        c1, c2 = _cross3(u, v), _cross3(v, w)
+        d1, d2 = _dot(b, c1), _dot(b, c2)
+        total += num / (d1 * d2)
+        for i in range(1, len(b)):
+            grad[i - 1] -= num * (c1[i] * d2 + d1 * c2[i]) / (d1 * d2) ** 2
+    sign = 1 if total >= 0 else -1
+    return [sign * g / b[0] for g in grad]

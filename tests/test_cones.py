@@ -13,6 +13,7 @@ from reebmin.errors import (
     WrongDimension,
 )
 
+import cone_suite
 import oracles
 
 CONIFOLD = [(1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1)]
@@ -238,3 +239,61 @@ def test_json_round_trip():
 
 def test_unimodular_match_negative():
     assert cn.unimodular_match(CONIFOLD, [(1, 0, 0), (1, 1, 0), (1, 2, 1), (1, 0, 1)]) is None
+
+
+# --- rays carried on the cone -------------------------------------------------
+
+
+def test_gorenstein_maps_rays_like_a_fresh_enumeration():
+    # (T^-1)^T applied to the stored rays, sorted, is exactly the tuple a
+    # fresh enumeration of the transformed normals returns
+    rng = random.Random(23)
+    checked = 0
+    for name, normals in cone_suite.CONES.items():
+        cone = cn.validate_cone(normals)
+        assert cone.rays == cn._extreme_rays_pointed(cone.normals, cone.n), name
+        frames = [lc.identity(cone.n)]
+        frames += [oracles.random_unimodular(cone.n, rng) for _ in range(4)]
+        for t in frames:
+            moved = cn.validate_cone([lc.matvec(t, list(v)) for v in cone.normals])
+            try:
+                g = cn.gorenstein_normalize(moved)
+            except NotQGorenstein:
+                continue
+            assert g.cone.rays == cn._extreme_rays_pointed(g.cone.normals, cone.n), name
+            checked += 1
+    assert checked >= 100
+
+
+def test_rays_take_no_part_in_equality_hash_or_json():
+    c = cn.validate_cone(CONIFOLD)
+    bare = cn.MomentCone(n=3, normals=c.normals, rays=())
+    assert bare == c and hash(bare) == hash(c)
+    assert bare.to_dict() == c.to_dict() == {"n": 3, "normals": [list(v) for v in CONIFOLD]}
+    assert "rays" not in repr(c)
+
+
+def test_triangulation_is_computed_once_per_cone():
+    c = cn.validate_cone(HEPTAGON)
+    assert cn.triangulation(c) is cn.triangulation(c)
+    assert len(c.simplex_dets) == len(cn.triangulation(c))
+
+
+@pytest.mark.parametrize("name", ["conifold", "y21", "heptagon", "flat4", "y7_3_labc"])
+def test_minimize_job_enumerates_rays_once(name, monkeypatch):
+    # guard on the amount of work, not on wall time: validate_cone finds the
+    # rays and the Gorenstein basis change maps them
+    from reebmin import cli
+
+    calls = []
+    enumerate_rays = cn._extreme_rays_pointed
+
+    def counting(*args):
+        calls.append(args)
+        return enumerate_rays(*args)
+
+    monkeypatch.setattr(cn, "_extreme_rays_pointed", counting)
+    normals = [list(v) for v in cone_suite.CONES[name]]
+    report = cli.run({"command": "cone-minimize", "payload": {"cone": {"normals": normals}}})
+    assert report["results"]["gorenstein_ell"] == 1
+    assert len(calls) == 1

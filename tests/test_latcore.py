@@ -147,10 +147,11 @@ def test_unimodular_completion():
         v = list(lc.primitivize(v))
         if all(x == 0 for x in v):
             continue
-        t = lc.unimodular_completion(v)
+        t, t_inv = lc.unimodular_completion(v)
         assert t[0] == v
         assert abs(lc.int_det(t)) == 1
-    assert lc.unimodular_completion((1, 0, 0)) == lc.identity(3)
+        assert lc.matmul(t, t_inv) == lc.identity(n)
+    assert lc.unimodular_completion((1, 0, 0)) == (lc.identity(3), lc.identity(3))
 
 
 def test_int_det_matches_fraction_elimination():
@@ -164,3 +165,32 @@ def test_int_det_matches_fraction_elimination():
         for i in range(n):
             prod_diag *= dd[i][i]
         assert abs(d) == prod_diag
+
+
+def test_rank_matches_smith_form():
+    # Bareiss elimination against the number of invariant factors
+    rng = random.Random(19)
+    kinds = set()
+    for trial in range(900):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        kind = trial % 3
+        if kind == 0:
+            mat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+        elif kind == 1:
+            # a product through k < min(m, n) columns is rank deficient
+            k = rng.randint(1, max(1, min(m, n) - 1))
+            a = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(m)]
+            b = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)]
+            mat = lc.matmul(a, b)
+        else:
+            mat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+            for i in rng.sample(range(m), rng.randint(0, m)):
+                mat[i] = [0] * n
+            for j in rng.sample(range(n), rng.randint(0, n)):
+                for row in mat:
+                    row[j] = 0
+        r = lc.rank(mat)
+        assert r == len(lc.invariant_factors(mat)), mat
+        kinds.add((kind, r < min(m, n)))
+    assert {(1, True), (2, True), (0, False)} <= kinds
+    assert lc.rank([]) == lc.rank([[]]) == lc.rank([[0, 0], [0, 0]]) == 0

@@ -8,8 +8,9 @@ import pytest
 from reebmin import cones as cn
 from reebmin import latcore as lc
 from reebmin import reebvol as rv
-from reebmin.errors import BoundaryPoint, NotGorenstein, ReebNotInterior
+from reebmin.errors import BoundaryPoint, NotGorenstein, NotQGorenstein, ReebNotInterior
 
+import cone_suite
 import oracles
 
 CONIFOLD = cn.conifold_cone()
@@ -365,6 +366,130 @@ def test_minimize_y13_7_large_denominator_certification():
     assert res.regularity == "quasi-regular"
     assert res.normalized_volume_exact == F(2401, 54756)
     assert ypq.quasiregular_check(13, 7) == ypq.Regularity("quasi-regular", 23)
+
+
+# --- integer-numerator certification ----------------------------------------
+
+
+def _verdict(fn):
+    try:
+        return fn()
+    except ReebNotInterior:
+        return "not interior"
+
+
+def _height_cone(name):
+    return cn.gorenstein_normalize(cn.validate_cone(cone_suite.CONES[name])).cone
+
+
+def _certificate_candidates():
+    """(height-basis cone, rational candidate) pairs of every kind certification sees."""
+    rng = random.Random(31)
+    pairs = []
+    for name in ("conifold", "flat3", "flat4", "y7_3_labc", "y13_7_labc"):
+        cone = _height_cone(name)
+        exact = rv.minimize_reeb(cone).xi_star_exact
+        assert exact is not None, name
+        pairs.append((cone, exact))
+        for i in range(1, cone.n):
+            for shift in (-1, 1):
+                moved = list(exact)
+                moved[i] = F(exact[i].numerator + shift, exact[i].denominator)
+                pairs.append((cone, tuple(moved)))
+    for name in ("y21", "heptagon", "y2_1_labc", "y3_1_labc", "y3_2_labc", "parabola4", "y61"):
+        cone = _height_cone(name)
+        xi, _, _ = rv._newton(cone, rv.GRAD_TOL, 200)
+        for bound in (1000, 10**6):
+            pairs.append((cone, (F(cone.n),) + tuple(F(x).limit_denominator(bound) for x in xi[1:])))
+    for name in ("conifold", "flat3", "flat4", "y21", "heptagon", "y7_3_labc"):
+        cone = _height_cone(name)
+        n = cone.n
+        # on the boundary of the dual cone, and random points mostly outside it
+        pairs += [(cone, tuple(F(n * x) for x in v)) for v in cone.normals]
+        for _ in range(6):
+            pairs.append((cone, (F(n),) + tuple(
+                F(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(n - 1))))
+    return pairs
+
+
+def _half_critical_candidates():
+    """Flat-cone points where every slice partial but one vanishes.
+
+    In the height basis of C^n the slice volume is c / (prod_i xi_i *
+    (n - sum_i xi_i)), whose partial in xi_i vanishes iff 2 xi_i + sum_{k != i}
+    xi_k = n.
+    """
+    pairs = []
+    flat3, flat4 = _height_cone("flat3"), _height_cone("flat4")
+    for a in (F(1, 2), F(2, 3), F(5, 4)):
+        pairs += [(flat3, (F(3), a, 3 - 2 * a)), (flat3, (F(3), 3 - 2 * a, a))]
+    for t in (F(1, 2), F(5, 4)):
+        for odd in range(3):
+            xi = [t, t, t]
+            xi[odd] = 4 - 3 * t
+            pairs.append((flat4, (F(4), *xi)))
+    return pairs
+
+
+def test_integer_gradient_test_matches_fraction_oracle():
+    verdicts = []
+    for cone, cand in _certificate_candidates() + _half_critical_candidates():
+        oracle = _verdict(lambda: all(g == 0 for g in rv._reduced(cone, cand, 1)[1]))
+        assert _verdict(lambda: rv._gradient_vanishes(cone, cand)) == oracle, cand
+        verdicts.append(oracle)
+    assert verdicts.count(True) == 5
+    assert verdicts.count(False) >= 40 and verdicts.count("not interior") >= 60
+
+
+def test_half_critical_candidates_miss_one_partial():
+    # these candidates catch a numerator that drops a coordinate of r_j
+    for cone, cand in _half_critical_candidates():
+        grad = rv._reduced(cone, cand, 1)[1]
+        assert sum(g != 0 for g in grad) == 1, cand
+
+
+# --- second volume oracle: Martelli-Sparks-Yau --------------------------------
+
+
+def _msy_cones():
+    """Every n = 3 Gorenstein cone of the suite, with its cyclically ordered normals."""
+    found = []
+    for name, normals in cone_suite.CONES.items():
+        if len(normals[0]) != 3:
+            continue
+        try:
+            g = cn.gorenstein_normalize(cn.validate_cone(normals))
+        except NotQGorenstein:
+            continue
+        if g.ell == 1:
+            found.append((name, g, oracles.cyclic_order(g.cone.normals)))
+    return found
+
+
+def test_moments_match_msy_volume_at_exact_reeb_vectors():
+    rng = random.Random(37)
+    cases = _msy_cones()
+    assert len(cases) >= 15
+    for name, g, cyclic in cases:
+        for _ in range(3):
+            # a positive combination of the normals is interior to the dual cone
+            coeffs = [F(rng.randint(1, 9), rng.randint(1, 5)) for _ in g.cone.normals]
+            xi = [sum(c * v[i] for c, v in zip(coeffs, g.cone.normals)) for i in range(3)]
+            for b in (xi, [3 * x / xi[0] for x in xi]):
+                vol, _, _ = rv._moments(g.cone, b)
+                assert 2**3 * 3 * 2 * vol == oracles.msy_volume(cyclic, b), name
+
+
+def test_certified_minimizers_are_msy_critical():
+    certified = 0
+    for name, g, cyclic in _msy_cones():
+        res = rv.minimize_reeb(g)
+        if res.xi_star_exact is None:
+            continue
+        certified += 1
+        assert all(x == 0 for x in oracles.msy_slice_gradient(cyclic, res.xi_star_exact)), name
+        assert oracles.msy_volume(cyclic, res.xi_star_exact) == res.normalized_volume_exact
+    assert certified >= 5
 
 
 # --- canonical metric --------------------------------------------------------
