@@ -4,7 +4,7 @@ A cone is stored by its inward facet normals {v_a}: the moment cone is
 C* = {y : <y, v_a> >= 0 for all a}, and its dual C is the fan of the
 associated affine toric variety.  All geometry here is exact: ray
 enumeration, redundancy elimination and the Gorenstein basis change run
-on integers and Fractions only.
+on integers only.
 
 Rays come from signed (n-1)-minors of the normals (generalised cross
 products).  Redundancy is read off the ray/normal incidences in one pass,
@@ -339,13 +339,15 @@ def unimodular_match(vectors_a, vectors_b):
     if len(picked) < n:
         return None
     a_cols = latcore.transpose([list(v) for v in picked])
-    a_inv = latcore.rational_inverse(a_cols)
+    # T = B A^-1 = B adj(A) / det(A), integral iff det(A) divides B adj(A)
+    a_det = latcore.int_det(a_cols)
+    a_adj = latcore.adjugate(a_cols)
     for image in itertools.permutations(B, n):
         b_cols = latcore.transpose([list(v) for v in image])
-        T = latcore.matmul(b_cols, a_inv)
-        if any(x.denominator != 1 for row in T for x in row):
+        T = latcore.matmul(b_cols, a_adj)
+        if any(x % a_det for row in T for x in row):
             continue
-        T = [[int(x) for x in row] for row in T]
+        T = [[x // a_det for x in row] for row in T]
         if abs(latcore.int_det(T)) != 1:
             continue
         if sorted(tuple(matvec(T, list(v))) for v in A) == sorted(B):

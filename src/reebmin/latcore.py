@@ -1,15 +1,16 @@
-"""Exact integer and rational linear algebra on small dense matrices.
+"""Exact integer linear algebra on small dense matrices.
 
 Matrices are plain lists of lists of Python ints (arbitrary precision),
-vectors are lists or tuples of ints.  Nothing here ever rounds: every
-operation on an exact path stays in ZZ or QQ.  Sizes are desk-scale
-(at most a dozen rows/columns), so the classical algorithms are used
+vectors are lists or tuples of ints.  Nothing here ever rounds or leaves
+ZZ: determinants and ranks come from fraction-free (Bareiss) elimination,
+inverses from adjugates, kernels from one Hermite form, and the Smith
+form serves only where its factors are read.  Sizes are desk-scale (at
+most a dozen rows/columns), so the classical algorithms are used
 throughout; no modular or sparse tricks.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
@@ -99,34 +100,25 @@ def int_det(M: IntMatrix) -> int:
     return sign * A[-1][-1]
 
 
-def rational_inverse(M: IntMatrix) -> list[list[Fraction]]:
-    """Exact inverse over QQ; raises RankError if singular."""
+def adjugate(M: IntMatrix) -> list[list[int]]:
+    """Transposed cofactor matrix, so that adj(M) M = M adj(M) = det(M) I."""
     n = len(M)
-    A = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(M)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if A[i][c] != 0), None)
-        if piv is None:
-            raise RankError("matrix is singular")
-        A[c], A[piv] = A[piv], A[c]
-        inv = 1 / A[c][c]
-        A[c] = [x * inv for x in A[c]]
-        for i in range(n):
-            if i != c and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[c])]
-    return [row[n:] for row in A]
+    rows = [[int(x) for x in row] for row in M]
+    return [
+        [
+            (-1) ** (i + j) * int_det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
 
 
 def unimodular_inverse(M: IntMatrix) -> list[list[int]]:
-    """Inverse of an integer matrix with det = +-1, exact and integral."""
-    inv = rational_inverse(M)
-    out = []
-    for row in inv:
-        if any(x.denominator != 1 for x in row):
-            raise RankError("matrix is not unimodular")
-        out.append([int(x) for x in row])
-    return out
+    """Inverse of an integer matrix with det = +-1: det(M) adj(M)."""
+    det = int_det(M)
+    if det not in (1, -1):
+        raise RankError(f"matrix is not unimodular (det = {det})")
+    return [[det * x for x in row] for row in adjugate(M)]
 
 
 def smith_normal_form(M: IntMatrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
@@ -305,13 +297,11 @@ def integer_kernel(M: IntMatrix, ncols: int | None = None) -> list[list[int]]:
         if ncols is None:
             raise ValueError("ncols is required for an empty matrix")
         return identity(ncols)
+    # the rows of HNF([M^T | I]) that vanish on M^T carry, in their identity
+    # part, the Hermite basis of the kernel lattice (Cohen, GTM 138, section 2.4)
     n = len(M[0])
-    _, D, V = smith_normal_form(M)
-    r = sum(1 for i in range(min(m, n)) if D[i][i] != 0)
-    basis = [[V[i][j] for i in range(n)] for j in range(r, n)]
-    if not basis:
-        return []
-    return hermite_normal_form(basis)
+    aug = [[row[i] for row in M] + [int(i == j) for j in range(n)] for i in range(n)]
+    return [row[m:] for row in hermite_normal_form(aug) if not any(row[:m])]
 
 
 def gale_dual(charges: IntMatrix, ncols: int | None = None) -> list[tuple[int, ...]]:

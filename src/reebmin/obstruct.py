@@ -151,28 +151,21 @@ class PropertyReport:
         return not self.counterexamples
 
 
-def bishop_implies_lich_property(n_samples=10_000, seed=0, dims=(3, 4, 5),
-                                 sampler=None) -> PropertyReport:
+def bishop_implies_lich_property(n_samples=10_000, seed=0) -> PropertyReport:
     """Sampled check that a Bishop violation forces a Lichnerowicz violation.
 
-    Real-valued weights (the theorem holds for positive reals): whenever
-    d(|w|-d)^n > w n^n with 0 < d < |w|, assert |w| - d > n w_min.  Any
-    counterexample is returned; there must be none.
+    Real-valued weights (the theorem holds for positive reals), n drawn from
+    3, 4, 5 and n + 1 weights from [0.05, 10]: whenever d(|w|-d)^n > w n^n
+    with 0 < d < |w|, assert |w| - d > n w_min.  Any counterexample is
+    returned; there must be none.
     """
     rng = random.Random(seed)
-
-    def default_sampler():
-        n = rng.choice(dims)
-        w = [rng.uniform(0.05, 10.0) for _ in range(n + 1)]
-        d = rng.uniform(1e-6, sum(w) * (1 - 1e-9))
-        return w, d
-
-    draw = sampler or default_sampler
     bad = []
     hits = 0
     for _ in range(n_samples):
-        w, d = draw()
-        n = len(w) - 1
+        n = rng.choice((3, 4, 5))
+        w = [rng.uniform(0.05, 10.0) for _ in range(n + 1)]
+        d = rng.uniform(1e-6, sum(w) * (1 - 1e-9))
         wsum, wprod = sum(w), prod(w)
         excess = wsum - d
         if d * excess**n > wprod * n**n:

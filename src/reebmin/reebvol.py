@@ -36,6 +36,8 @@ from .errors import (
 from .latcore import dot
 
 GRAD_TOL = 1e-10
+# denominator bounds of the continued-fraction candidates certification tries
+DEN_BOUNDS = (1000, 10**6)
 
 
 @dataclass(frozen=True)
@@ -355,7 +357,7 @@ def _gradient_vanishes(cone, xi):
     return not any(total)
 
 
-def _certify_rational(cone, xi, den_bounds):
+def _certify_rational(cone, xi):
     """Try to promote a float minimizer to an exact rational critical point.
 
     Continued-fraction candidates per coordinate; accepted only when the
@@ -363,7 +365,7 @@ def _certify_rational(cone, xi, den_bounds):
     numerator.
     """
     n = cone.n
-    for bound in den_bounds:
+    for bound in DEN_BOUNDS:
         cand = [Fraction(n)] + [Fraction(x).limit_denominator(bound) for x in xi[1:]]
         try:
             if _gradient_vanishes(cone, cand):
@@ -422,8 +424,7 @@ def _rank_estimate(xi):
     return 1 + len(basis)
 
 
-def minimize_reeb(cone, *, tol=GRAD_TOL, max_iter=200,
-                  den_bounds=(1000, 10**6), xi0=None) -> MinimizationResult:
+def minimize_reeb(cone, *, max_iter=200, xi0=None) -> MinimizationResult:
     """Unique volume-minimizing Reeb vector on the slice xi_0 = n.
 
     Damped Newton on the restricted volume (its own divergence at the
@@ -439,8 +440,8 @@ def minimize_reeb(cone, *, tol=GRAD_TOL, max_iter=200,
         raise NotGorenstein(f"height ell = {cone.ell} > 1")
     c = cone.cone
     n = c.n
-    xi, iterations, gnorm = _newton(c, tol, max_iter, xi0=xi0)
-    exact = _certify_rational(c, xi, den_bounds)
+    xi, iterations, gnorm = _newton(c, GRAD_TOL, max_iter, xi0=xi0)
+    exact = _certify_rational(c, xi)
     if exact is not None:
         vol_exact, _, _ = _moments(c, exact, order=0)
         norm_exact = 2**n * math.factorial(n) * vol_exact

@@ -311,13 +311,20 @@ def einstein_residual(Y: YpqParams, x: ChartPoint) -> float:
     return float(np.max(np.abs(ric - 4.0 * metric_eval(Y, x))))
 
 
-def killing_residual(Y: YpqParams, x: ChartPoint, h: float = 1e-4) -> float:
+def metric_scale(Y: YpqParams, x: ChartPoint) -> float:
+    """max(1, max_ij |g_ij|) at x: the entries of g grow with p, so the
+    Einstein residual there is held to a bound relative to this."""
+    return max(1.0, float(np.max(np.abs(metric_eval(Y, x)))))
+
+
+def killing_residual(Y: YpqParams, x: ChartPoint) -> float:
     """max |L_xi g|: the Reeb field has constant components, so this is
-    xi^a d_a g_{ij} by central differences along psi and alpha.
+    xi^a d_a g_{ij} by central differences (step 1e-4) along psi and alpha.
 
     It is 0.0 by construction, because metric_eval never reads phi, psi
     or alpha: the check guards that the chart keeps that form.
     """
+    h = 1e-4
     fn = _metric_fn(Y)
     coords = x.coords()
     lie = np.zeros((5, 5))
@@ -345,18 +352,17 @@ def ricci_reeb_residual(Y: YpqParams, x: ChartPoint) -> float:
     return abs(float(xi @ ric @ xi) - 4.0)
 
 
-def random_chart_points(Y: YpqParams, count: int, rng,
-                        theta_margin: float = 0.2,
-                        y_margin: float = 0.05) -> list[ChartPoint]:
-    """Sample points inside the default interior margins."""
+def random_chart_points(Y: YpqParams, count: int, rng) -> list[ChartPoint]:
+    """Sample points with theta in [0.2, pi - 0.2] and y off both ends of
+    [y1, y2] by 5% of its length."""
     dy = Y.y2 - Y.y1
     pts = []
     for _ in range(count):
         pts.append(
             ChartPoint(
-                theta=rng.uniform(theta_margin, math.pi - theta_margin),
+                theta=rng.uniform(0.2, math.pi - 0.2),
                 phi=rng.uniform(0.0, 2.0 * math.pi),
-                y=rng.uniform(Y.y1 + y_margin * dy, Y.y2 - y_margin * dy),
+                y=rng.uniform(Y.y1 + 0.05 * dy, Y.y2 - 0.05 * dy),
                 psi=rng.uniform(0.0, 2.0 * math.pi),
                 alpha=rng.uniform(0.0, 2.0 * math.pi),
             )

@@ -10,7 +10,9 @@ Boyer-Galicki-Kollar and Ghigi-Kollar inequalities in Fractions instead
 of integers cleared of the denominator lcm(a), the Ricci tensor by
 central finite differences of the metric instead of exact jets, and n = 3
 toric volumes and their slice gradients by the Martelli-Sparks-Yau formula
-over consecutive normals instead of rays and a triangulation.
+over consecutive normals instead of rays and a triangulation, and integer
+kernels from the column transform of a Smith form instead of one Hermite
+form of [M^T | I].
 """
 
 from fractions import Fraction
@@ -18,6 +20,8 @@ from itertools import combinations, product
 from math import gcd, lcm, prod
 
 import numpy as np
+
+from reebmin import latcore
 
 
 def alexander_invariants(a):
@@ -249,3 +253,16 @@ def msy_slice_gradient(normals, b):
             grad[i - 1] -= num * (c1[i] * d2 + d1 * c2[i]) / (d1 * d2) ** 2
     sign = 1 if total >= 0 else -1
     return [sign * g / b[0] for g in grad]
+
+
+def integer_kernel_by_smith(M):
+    """Hermite basis of {x in ZZ^n : M x = 0} for a matrix with rows: the
+    last n - r columns of the Smith transform V span the kernel, and their
+    Hermite form is its canonical basis."""
+    m, n = len(M), len(M[0])
+    _, D, V = latcore.smith_normal_form(M)
+    r = sum(1 for i in range(min(m, n)) if D[i][i] != 0)
+    basis = [[V[i][j] for i in range(n)] for j in range(r, n)]
+    if not basis:
+        return []
+    return latcore.hermite_normal_form(basis)

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -153,6 +154,74 @@ def test_main_ypq_einstein_small_q_over_p(argv, capsys):
     e = out["results"]["einstein"]
     assert e["pass"] and e["max_residual"] <= 1e-9
     assert "step" not in e and "step" not in out["input"]
+
+
+@pytest.mark.parametrize("p", [500, 1000])
+def test_ypq_einstein_bound_is_relative_to_the_metric(p):
+    # max |g_ij| grows with p (about 1.4e6 for Y^{1000,1}), and so does the
+    # rounding in Ric - 4 g; each point is held to 1e-9 max(1, max |g_ij|)
+    spec = {"command": "ypq",
+            "payload": {"p": p, "q": 1, "check_einstein": True, "samples": 100}}
+    report = cli.run(spec)
+    e = report["results"]["einstein"]
+    assert e["pass"] and not report["strict_fail"]
+    assert e["max_residual"] > 1e-9
+    assert report["tolerances"]["einstein"] == 1e-9
+
+
+@pytest.mark.parametrize("p", [2, 1000])
+def test_ypq_einstein_fails_a_perturbed_ricci(p, monkeypatch):
+    from reebmin import ypq
+
+    ricci = ypq.ricci_fd
+    monkeypatch.setattr(ypq, "ricci_fd", lambda Y, x: ricci(Y, x) * (1.0 + 1e-6))
+    spec = {"command": "ypq",
+            "payload": {"p": p, "q": 1, "check_einstein": True, "samples": 20}}
+    report = cli.run(spec)
+    assert not report["results"]["einstein"]["pass"] and report["strict_fail"]
+
+
+def test_seed_is_a_ypq_option_only(capsys):
+    assert cli.main(["ypq", "--p", "2", "--q", "1", "--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["input"]["seed"] == 3
+    for argv in (["link", "check", "2,3,7,5"], ["gale-dual", "--charges", "1,1,-1,-1"],
+                 ["cone", "topology", "--normals", "1,0;0,1"]):
+        with pytest.raises(SystemExit):
+            cli.main(argv + ["--seed", "3"])
+        capsys.readouterr()
+
+
+PLAIN_TYPES = (dict, list, tuple, str, int, float, bool, type(None), Fraction)
+
+ONE_SPEC_PER_COMMAND = [
+    {"command": "cone-minimize", "payload": dict(CONIFOLD_PAYLOAD, exact_certify=True)},
+    {"command": "cone-topology", "payload": CONIFOLD_PAYLOAD},
+    {"command": "link-check", "payload": {"exponents": [2, 3, 7, 5]}},
+    {"command": "link-enumerate",
+     "payload": {"template": [2, 3, 5, None], "range": [6, 30], "predicate": "gk"}},
+    {"command": "obstruct-hs", "payload": {"weights": [21, 21, 21, 2], "degree": 42}},
+    {"command": "join", "payload": {"ord": [1, 1], "index": [2, 2], "n": [2, 2]}},
+    {"command": "ypq", "payload": {"p": 2, "q": 1, "check_einstein": True, "samples": 3}},
+    {"command": "labc", "payload": {"a": 1, "b": 3, "c": 2, "to_cone": True}},
+    {"command": "gale-dual", "payload": {"charges": [[2, 2, -1, -3]]}},
+]
+
+
+def test_reports_hold_only_plain_values():
+    # _jsonable knows Fractions and containers only, so no report may carry
+    # a numpy scalar or array (np.float64 is a float subclass: type, not isinstance)
+    def walk(x):
+        assert type(x) in PLAIN_TYPES, (type(x), x)
+        if isinstance(x, dict):
+            assert all(type(k) is str for k in x)
+            x = list(x.values())
+        if isinstance(x, (list, tuple)):
+            for v in x:
+                walk(v)
+
+    assert sorted(s["command"] for s in ONE_SPEC_PER_COMMAND) == sorted(cli.COMMANDS)
+    for spec in ONE_SPEC_PER_COMMAND:
+        walk(cli.run(spec, timing=True))
 
 
 def test_main_gale_dual(capsys):
@@ -333,3 +402,20 @@ def test_closed_stdout_exits_quietly(tmp_path):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+def test_cli_import_loads_no_test_extras():
+    import subprocess
+    import sys
+
+    extras = ("jsonschema", "scipy", "mpmath", "hypothesis", "pytest")
+    code = (
+        "import sys, reebmin.cli; "
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {extras!r}))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": child_pythonpath()},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

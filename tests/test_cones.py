@@ -297,3 +297,40 @@ def test_minimize_job_enumerates_rays_once(name, monkeypatch):
     report = cli.run({"command": "cone-minimize", "payload": {"cone": {"normals": normals}}})
     assert report["results"]["gorenstein_ell"] == 1
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["conifold", "y21", "heptagon", "flat4", "y61_sheared"])
+def test_minimize_job_takes_one_smith_form(name, monkeypatch):
+    # guard on the amount of work, not on wall time: the kernel comes from a
+    # Hermite form and only the unimodular completion reads a Smith form
+    from reebmin import cli
+
+    calls = []
+    smith = lc.smith_normal_form
+
+    def counting(*args):
+        calls.append(args)
+        return smith(*args)
+
+    monkeypatch.setattr(lc, "smith_normal_form", counting)
+    normals = [list(v) for v in cone_suite.CONES[name]]
+    report = cli.run({"command": "cone-minimize", "payload": {"cone": {"normals": normals}}})
+    assert report["results"]["gorenstein_ell"] == 1
+    assert len(calls) == 1
+
+
+def test_unimodular_match_in_random_frames():
+    # the first independent vectors have |det| up to 4 for c3_mod_z2, so
+    # integrality of B adj(A) / det(A) is really tested
+    rng = random.Random(37)
+    for name in ("conifold", "y21", "heptagon", "c3_mod_z2", "parabola4", "orthant4"):
+        normals = [tuple(v) for v in cone_suite.CONES[name]]
+        n = len(normals[0])
+        for _ in range(4):
+            u = oracles.random_unimodular(n, rng)
+            moved = [tuple(lc.matvec(u, list(v))) for v in normals]
+            rng.shuffle(moved)
+            t = cn.unimodular_match(normals, moved)
+            assert t is not None and abs(lc.int_det(t)) == 1
+            assert sorted(tuple(lc.matvec(t, list(v))) for v in normals) == sorted(moved)
+    assert cn.unimodular_match(cone_suite.CONES["c3_mod_z2"], cn.flat_cone(3).normals) is None

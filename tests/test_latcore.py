@@ -194,3 +194,80 @@ def test_rank_matches_smith_form():
         kinds.add((kind, r < min(m, n)))
     assert {(1, True), (2, True), (0, False)} <= kinds
     assert lc.rank([]) == lc.rank([[]]) == lc.rank([[0, 0], [0, 0]]) == 0
+
+
+def test_integer_kernel_matches_smith_oracle():
+    # one Hermite form of [M^T | I] against the Smith transform V, order included
+    rng = random.Random(23)
+    kinds = set()
+    for trial in range(1000):
+        kind = trial % 5
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        if kind == 0:
+            mat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+        elif kind == 1:
+            # dependent rows: a product through k < m rows
+            k = rng.randint(1, max(1, m - 1))
+            a = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
+            b = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)]
+            mat = lc.matmul(a, b)
+        elif kind == 2:
+            mat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+            for i in rng.sample(range(m), rng.randint(0, m)):
+                mat[i] = [0] * n
+            for j in rng.sample(range(n), rng.randint(0, n)):
+                for row in mat:
+                    row[j] = 0
+        elif kind == 3:
+            mat = [[rng.randint(-9, 9) for _ in range(n)]]
+        else:
+            # Gale charge rows: k < d - 1 rows, each summing to zero
+            d = rng.randint(3, 7)
+            mat = []
+            for _ in range(rng.randint(1, d - 2)):
+                row = [rng.randint(-4, 4) for _ in range(d - 1)]
+                mat.append(row + [-sum(row)])
+        basis = lc.integer_kernel(mat)
+        assert basis == oracles.integer_kernel_by_smith(mat), mat
+        kinds.add((kind, len(mat) > len(mat[0]), len(basis) >= 2))
+    assert {(0, True, False), (1, False, True), (2, True, True), (3, False, True), (4, False, True)} <= kinds
+    for mat in ([[0, 0, 0]], [[]], [[1, 1, 1, 1]], lc.identity(4), [[2, 2, -1, -3]]):
+        assert lc.integer_kernel(mat) == oracles.integer_kernel_by_smith(mat)
+    assert lc.integer_kernel([], ncols=3) == lc.identity(3)
+    with pytest.raises(ValueError):
+        lc.integer_kernel([])
+
+
+def test_adjugate_gives_det_times_identity():
+    rng = random.Random(29)
+    singular = 0
+    for trial in range(400):
+        n = rng.randint(1, 6)
+        if trial % 2:
+            # a product through k < n columns is singular
+            k = rng.randint(0, n - 1)
+            a = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(n)]
+            b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
+            mat = lc.matmul(a, b) if k else [[0] * n for _ in range(n)]
+        else:
+            mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        det = lc.int_det(mat)
+        singular += det == 0
+        adj = lc.adjugate(mat)
+        scaled = [[det * x for x in row] for row in lc.identity(n)]
+        assert lc.matmul(adj, mat) == scaled == lc.matmul(mat, adj), mat
+    assert singular >= 200
+    assert lc.adjugate([[7]]) == [[1]]
+    assert lc.adjugate([[1, 2], [3, 4]]) == [[4, -2], [-3, 1]]
+
+
+def test_unimodular_inverse_is_integral_and_checks_det():
+    rng = random.Random(31)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        u = oracles.random_unimodular(n, rng)
+        inv = lc.unimodular_inverse(u)
+        assert lc.matmul(u, inv) == lc.identity(n) == lc.matmul(inv, u)
+    for mat in ([[2]], [[-2]], [[1, 1], [-1, 1]], [[1, 0], [0, -2]], [[1, 2], [2, 4]]):
+        with pytest.raises(RankError):
+            lc.unimodular_inverse(mat)

@@ -399,7 +399,7 @@ def _certificate_candidates():
     for name in ("y21", "heptagon", "y2_1_labc", "y3_1_labc", "y3_2_labc", "parabola4", "y61"):
         cone = _height_cone(name)
         xi, _, _ = rv._newton(cone, rv.GRAD_TOL, 200)
-        for bound in (1000, 10**6):
+        for bound in rv.DEN_BOUNDS:
             pairs.append((cone, (F(cone.n),) + tuple(F(x).limit_denominator(bound) for x in xi[1:])))
     for name in ("conifold", "flat3", "flat4", "y21", "heptagon", "y7_3_labc"):
         cone = _height_cone(name)
