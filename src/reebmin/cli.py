@@ -43,9 +43,9 @@ def _jsonable(x):
     return x
 
 
-def _need(payload, key, kind, what=""):
+def _need(payload, key, kind):
     if key not in payload:
-        raise SchemaError(f"missing field {key!r}{what}")
+        raise SchemaError(f"missing field {key!r}")
     val = payload[key]
     if kind is int and isinstance(val, bool):
         raise SchemaError(f"field {key!r} must be an integer")
@@ -65,6 +65,13 @@ def _opt_int(payload, key, default):
     return val
 
 
+def _flag(payload, key):
+    val = payload.get(key, False)
+    if not isinstance(val, bool):
+        raise SchemaError(f"field {key!r} must be a boolean")
+    return val
+
+
 def _int_list(payload, key):
     val = _need(payload, key, list)
     if not all(map(_is_int, val)):
@@ -77,6 +84,9 @@ def _cone_payload(payload) -> cones.MomentCone:
     normals = _need(data, "normals", list)
     if not all(isinstance(v, list) and all(map(_is_int, v)) for v in normals):
         raise SchemaError("field 'normals' must be a list of integer lists")
+    n = data.get("n")
+    if "n" in data and not (_is_int(n) and all(len(v) == n for v in normals)):
+        raise SchemaError("field 'n' must be an integer, the length of every normal")
     return cones.validate_cone(normals)
 
 
@@ -84,10 +94,10 @@ def _cone_payload(payload) -> cones.MomentCone:
 
 
 def _run_cone_minimize(payload):
+    exact = _flag(payload, "exact_certify")
     cone = _cone_payload(payload)
     g = cones.gorenstein_normalize(cone)
     res = reebvol.minimize_reeb(g)
-    exact = payload.get("exact_certify", False)
     results = {
         "xi_star": list(res.xi_star),
         "normalized_volume": res.normalized_volume,
@@ -136,6 +146,8 @@ def _run_link_enumerate(payload):
         raise SchemaError("field 'range' must be [lo, hi]")
     lo, hi = bounds
     pred_spec = payload.get("predicate")
+    if not (pred_spec is None or isinstance(pred_spec, str)):
+        raise SchemaError("field 'predicate' must be a string or null")
     pred = links.parse_predicate(pred_spec) if pred_spec else None
     hits = links.enumerate_family(template, range(lo, hi + 1), pred)
     return (
@@ -199,6 +211,7 @@ def _run_join(payload):
 def _run_ypq(payload):
     p = _need(payload, "p", int)
     q = _need(payload, "q", int)
+    check_einstein = _flag(payload, "check_einstein")
     Y = ypq.ypq_params(p, q)
     reg = ypq.quasiregular_check(p, q)
     results = {
@@ -215,7 +228,7 @@ def _run_ypq(payload):
     if samples < 1:
         raise SchemaError("field 'samples' must be at least 1")
     seed = _opt_int(payload, "seed", 0)
-    if payload.get("check_einstein", False):
+    if check_einstein:
         rng = random.Random(seed)
         pts = ypq.random_chart_points(Y, samples, rng)
         res = [ypq.einstein_residual(Y, x) for x in pts]
@@ -245,6 +258,7 @@ def _run_labc(payload):
     a = _need(payload, "a", int)
     b = _need(payload, "b", int)
     c = _need(payload, "c", int)
+    to_cone = _flag(payload, "to_cone")
     verdict = ypq.labc_admissible(a, b, c)
     results = {
         "valid": verdict.valid,
@@ -253,7 +267,7 @@ def _run_labc(payload):
     if verdict.valid:
         results["d"] = verdict.params.d
         results["charges"] = list(verdict.params.charges)
-        if payload.get("to_cone", False):
+        if to_cone:
             g = ypq.labc_cone(verdict.params)
             top = cones.topology(g.cone)
             results["cone"] = g.cone.to_dict()
@@ -323,9 +337,13 @@ def run(spec: dict, timing: bool = False) -> dict:
 
 
 def _error_report(spec, exc) -> dict:
+    code, message = type(exc).__name__, str(exc)
+    if not isinstance(exc, (ReebminError, ValueError, OSError)):
+        # a fault of the program, not of the input: name it, keep the type
+        code, message = "InternalError", f"{code}: {message}"
     return {
         "command": spec.get("command") if isinstance(spec, dict) else None,
-        "error": {"code": type(exc).__name__, "message": str(exc)},
+        "error": {"code": code, "message": message},
         "version": __version__,
     }
 
@@ -338,7 +356,7 @@ def _emit_json(report, out):
     out.write("\n")
 
 
-def _emit_table(report, out, prefix=""):
+def _emit_table(report, out):
     items = _jsonable(report)
 
     def walk(d, indent):
@@ -575,7 +593,7 @@ def _run_batch(args, out) -> int:
             continue
         try:
             report = run(spec, timing=args.timing)
-        except (ReebminError, ValueError) as exc:
+        except Exception as exc:
             _emit_line(_error_report(spec, exc), out)
             worst = max(worst, 1)
             continue

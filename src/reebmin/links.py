@@ -1,12 +1,12 @@
 """Brieskorn-Pham link analysis.
 
-Topology of the link L(a) via the gcd graph, Sasaki-Einstein existence
-tests from the Boyer-Galicki-Kollar and Ghigi-Kollar inequalities, the
-Milnor-fibre signature count for homotopy 7-spheres, and an enumeration
-engine over one-parameter families.  Each inequality compares rationals
-whose denominators divide d = lcm(a), so it is decided as one comparison
-of integers after multiplying through by d: with |w| = sum d/a_i the
-reciprocal sum is sum 1/a_i = |w|/d.
+Topology of the link L(a) from the pairwise gcds of its exponents,
+Sasaki-Einstein existence tests from the Boyer-Galicki-Kollar and
+Ghigi-Kollar inequalities, the Milnor-fibre signature count for homotopy
+7-spheres, and an enumeration engine over one-parameter families.  Each
+inequality compares rationals whose denominators divide d = lcm(a), so it
+is decided as one comparison of integers after multiplying through by d:
+with |w| = sum d/a_i the reciprocal sum is sum 1/a_i = |w|/d.
 """
 
 from __future__ import annotations
@@ -55,6 +55,15 @@ class BPExponents:
     def weight_sum(self) -> int:
         return sum(self.weights)
 
+    @cached_property
+    def pair_gcds(self) -> tuple[tuple[int, ...], ...]:
+        """Symmetric table of gcd(a_i, a_j), with a_i itself on the diagonal."""
+        a = self.a
+        rows = [[x] * len(a) for x in a]
+        for i, j in itertools.combinations(range(len(a)), 2):
+            rows[i][j] = rows[j][i] = gcd(a[i], a[j])
+        return tuple(map(tuple, rows))
+
     @property
     def weight_prod(self) -> int:
         return prod(self.weights)
@@ -69,81 +78,33 @@ def bp(a) -> BPExponents:
     return BPExponents(a=tuple(int(x) for x in a))
 
 
-@dataclass(frozen=True)
-class BrieskornGraph:
-    """gcd graph on the exponents: vertices i, edges where gcd(a_i,a_j) > 1."""
-
-    labels: tuple[int, ...]
-    edges: frozenset
-    components: tuple
-    isolated: tuple[int, ...]
-    c_even: frozenset  # vertex set of the component holding the even labels
-
-
-def brieskorn_graph(a) -> BrieskornGraph:
-    a = bp(a).a
-    m = len(a)
-    edges = frozenset(
-        (i, j) for i, j in itertools.combinations(range(m), 2) if gcd(a[i], a[j]) > 1
-    )
-    adj = {i: set() for i in range(m)}
-    for i, j in edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    seen = set()
-    components = []
-    for i in range(m):
-        if i in seen:
-            continue
-        comp = {i}
-        stack = [i]
-        while stack:
-            for k in adj[stack.pop()]:
-                if k not in comp:
-                    comp.add(k)
-                    stack.append(k)
-        seen |= comp
-        components.append(frozenset(comp))
-    evens = [i for i in range(m) if a[i] % 2 == 0]
-    c_even = frozenset()
-    if evens:
-        c_even = next(comp for comp in components if evens[0] in comp)
-        assert all(i in c_even for i in evens)
-    return BrieskornGraph(
-        labels=a,
-        edges=edges,
-        components=tuple(components),
-        isolated=tuple(i for i in range(m) if not adj[i]),
-        c_even=c_even,
-    )
-
-
-def _c_even_pairwise_two(graph: BrieskornGraph) -> bool:
-    mem = sorted(graph.c_even)
-    return all(
-        gcd(graph.labels[i], graph.labels[j]) == 2
-        for i, j in itertools.combinations(mem, 2)
-    )
-
-
 def homology_classify(a) -> str:
     """Brieskorn's graph criterion: integral / rational homology sphere or neither.
 
-    Integral needs two isolated vertices, or one isolated vertex plus an
-    even component of odd size with pairwise gcd exactly 2.  The isolated
-    vertex must not itself be that even component (a lone even vertex):
+    The graph joins i and j when gcd(a_i, a_j) > 1.  Integral needs two
+    isolated vertices, or one isolated vertex plus an even component of
+    odd size with pairwise gcd exactly 2.  No component search is needed:
+    a vertex is isolated when its gcd row is 1 off the diagonal, and the
+    even exponents share one component, whose pairwise gcds are all 2
+    only if it holds no odd exponent (an odd one has odd gcds).  So it
+    qualifies exactly when the even exponents are odd in number, of
+    pairwise gcd 2 and coprime to every odd one.  The isolated vertex
+    must not itself be that even component (a lone even vertex):
     L(m,..,m,k) with k even, e.g. (3,3,3,4), has middle torsion of order
-    k^b and is only a rational homology sphere.  Cross-checked against the
-    exact order of the Alexander polynomial at 1 in the test suite.
+    k^b and is only a rational homology sphere.  Cross-checked against
+    the exact order of the Alexander polynomial at 1 in the test suite.
     """
-    graph = brieskorn_graph(a)
-    iso = len(graph.isolated)
-    even_ok = len(graph.c_even) % 2 == 1 and _c_even_pairwise_two(graph)
-    if iso >= 2 or (
-        iso == 1 and even_ok and graph.isolated[0] not in graph.c_even
-    ):
+    e = bp(a)
+    a, g = e.a, e.pair_gcds
+    isolated = [i for i, row in enumerate(g) if max(row[:i] + row[i + 1:]) == 1]
+    evens = [i for i, x in enumerate(a) if x % 2 == 0]
+    even_ok = len(evens) % 2 == 1 and all(
+        g[i][j] == (2 if a[j] % 2 == 0 else 1)
+        for i in evens for j in range(len(a)) if j != i
+    )
+    if len(isolated) >= 2 or (len(isolated) == 1 and even_ok and a[isolated[0]] % 2):
         return INTEGRAL
-    if iso >= 1 or even_ok:
+    if isolated or even_ok:
         return RATIONAL
     return OTHER
 
@@ -169,11 +130,13 @@ class BGKResult:
         return self.passed
 
 
-def _bgk_bmax(a) -> int:
-    """max b_i b_j over i < j, where b_i = gcd(a_i, lcm of the other a_j)."""
-    m = len(a)
-    cs = [lcm(*(a[j] for j in range(m) if j != i)) for i in range(m)]
-    bs = [gcd(a[i], cs[i]) for i in range(m)]
+def _bgk_bmax(e: BPExponents) -> int:
+    """max b_i b_j over i < j, where b_i = gcd(a_i, lcm of the other a_j).
+
+    gcd distributes over lcm, so b_i is the lcm of gcd(a_i, a_j) over
+    j != i: row i of the gcd table without its diagonal entry.
+    """
+    bs = [lcm(*row[:i], *row[i + 1:]) for i, row in enumerate(e.pair_gcds)]
     return max(bi * bj for bi, bj in itertools.combinations(bs, 2))
 
 
@@ -195,7 +158,7 @@ def bgk_check(a) -> BGKResult:
     amax = max(e.a)
     if not w * (n - 1) * amax < d * ((n - 1) * amax + n):
         return BGKResult(False, 2)
-    bmax = _bgk_bmax(e.a)
+    bmax = _bgk_bmax(e)
     if not w * (n - 1) * bmax < d * ((n - 1) * bmax + n):
         return BGKResult(False, 3)
     return BGKResult(True, None)
@@ -212,10 +175,10 @@ def gk_check(a) -> str:
     1 < s < 1 + n/max a, in integers d < |w| and |w| max a < d (max a + n).
     """
     e = bp(a)
-    av = e.a
-    if any(gcd(x, y) > 1 for x, y in itertools.combinations(av, 2)):
+    # the table is symmetric: the entries below the diagonal are the pairs
+    if any(x > 1 for i, row in enumerate(e.pair_gcds) for x in row[:i]):
         return GK_NA
-    d, w, amax = e.degree, e.weight_sum, max(av)
+    d, w, amax = e.degree, e.weight_sum, max(e.a)
     return GK_PASS if d < w and w * amax < d * (amax + e.n) else GK_FAIL
 
 
@@ -364,11 +327,10 @@ def milnor_signature(a) -> int:
         raise UnsupportedDimension(f"need 5 exponents, got {len(e.a)}")
     if homology_classify(e) != INTEGRAL:
         raise NotHomologySphere(f"L{e.a} is not an integral homology sphere")
-    L = e.degree
-    scaled = [L // x for x in e.a]
+    L, weights = e.degree, e.weights
     plus = minus = 0
     for point in itertools.product(*(range(1, x) for x in e.a)):
-        r = sum(p * s for p, s in zip(point, scaled)) % (2 * L)
+        r = sum(p * w for p, w in zip(point, weights)) % (2 * L)
         if 0 < r < L:
             plus += 1
         elif L < r < 2 * L:

@@ -1,7 +1,7 @@
 """Independent oracles used to pin expected values.
 
 Everything here deliberately avoids the code paths it is used to check:
-homology via the Alexander polynomial at 1 instead of the gcd graph,
+homology via the Alexander polynomial at 1 instead of pairwise gcds,
 volume gradients via finite differences instead of moment formulas,
 minimizers via grid search instead of Newton, signatures via Fraction
 arithmetic instead of scaled-integer counting, the integer-relation

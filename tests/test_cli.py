@@ -7,7 +7,7 @@ import pytest
 from reebmin import cli
 from reebmin.errors import SchemaError
 
-# bad ypq and gale-dual payloads, one per line, then two valid jobs
+# bad payloads, one per line, then two valid jobs
 BAD_PAYLOADS = Path(__file__).parent / "data" / "bad_payloads.ndjson"
 
 CONIFOLD_PAYLOAD = {
@@ -308,6 +308,8 @@ def test_batch_rejects_bad_enumerate_payloads(tmp_path, capsys):
         {"template": [2, 3, True, None], "range": [5, 8]},  # bool entry
         {"template": [2, 3, 7, None], "range": [5]},  # one bound
         {"template": [2, 3, 7, None], "range": [5, 8, 9]},  # three bounds
+        {"template": [2, 3, 7, None], "range": [5, 8], "predicate": 5},
+        {"template": [2, 3, 7, None], "range": [5, 8], "predicate": ["bgk"]},
     )
     specs = [{"command": "link-enumerate", "payload": p} for p in bad]
     specs.append({"command": "link-enumerate",
@@ -315,8 +317,8 @@ def test_batch_rejects_bad_enumerate_payloads(tmp_path, capsys):
     code, reports = _batch(tmp_path, capsys, specs)
     assert code == 1
     assert [r.get("error", {}).get("code") for r in reports] == [
-        "SchemaError"] * 4 + [None]
-    assert reports[4]["results"]["values"] == [5, 6, 7, 8]
+        "SchemaError"] * 6 + [None]
+    assert reports[6]["results"]["values"] == [5, 6, 7, 8]
 
 
 def test_batch_rejects_bad_ypq_and_gale_dual_payloads(capsys):
@@ -324,9 +326,35 @@ def test_batch_rejects_bad_ypq_and_gale_dual_payloads(capsys):
     reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert code == 1
     assert [r.get("error", {}).get("code") for r in reports] == [
-        "SchemaError"] * 9 + [None, None]
-    assert reports[9]["results"]["einstein"]["samples"] == 2
-    assert reports[10]["results"]["rays"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1]]
+        "SchemaError"] * (len(reports) - 2) + [None, None]
+    assert reports[-2]["results"]["einstein"]["samples"] == 2
+    assert reports[-1]["results"]["rays"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1]]
+
+
+def test_batch_turns_an_unexpected_exception_into_an_error_line(
+    tmp_path, capsys, monkeypatch
+):
+    def boom(payload):
+        raise RuntimeError("handler fault")
+
+    monkeypatch.setitem(cli._HANDLERS, "link-check", boom)
+    specs = [
+        {"command": "link-check", "payload": {"exponents": [2, 3, 7, 5]}},
+        {"command": "join", "payload": {"ord": [1, 1], "index": [2, 2], "n": [2, 2]}},
+    ]
+    code, reports = _batch(tmp_path, capsys, specs)
+    assert code == 1
+    assert reports[0]["command"] == "link-check"
+    assert reports[0]["error"] == {
+        "code": "InternalError", "message": "RuntimeError: handler fault"}
+    assert reports[1]["results"]["kind"]
+
+
+@pytest.mark.parametrize("n", [7, 2, True, 3.0, "3", None])
+def test_cone_n_must_match_the_normals(n):
+    cone = {"n": n, "normals": [[1, 0, 0], [1, 1, 0], [1, 1, 1]]}
+    with pytest.raises(SchemaError):
+        cli.run({"command": "cone-topology", "payload": {"cone": cone}})
 
 
 def test_report_round_trip():

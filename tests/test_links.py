@@ -17,21 +17,9 @@ def test_exponent_derived_data():
     assert e.degree == 210
     assert e.weights == (105, 70, 30, 42)
     assert e.weight_sum == 247
+    assert lk.bp((4, 6, 9)).pair_gcds == ((4, 2, 1), (2, 6, 3), (1, 3, 9))
     with pytest.raises(ValueError):
         lk.bp((1, 3))
-
-
-def test_graph_structure():
-    g = lk.brieskorn_graph((2, 3, 7, 5))
-    assert g.edges == frozenset()
-    assert len(g.isolated) == 4
-
-    g = lk.brieskorn_graph((2, 4, 6, 9, 5))
-    evens = {i for i, x in enumerate(g.labels) if x % 2 == 0}
-    assert evens <= g.c_even
-    # the even vertices always sit in one component
-    comps_with_even = {c for c in g.components if c & evens}
-    assert len(comps_with_even) == 1
 
 
 def test_homology_examples():
@@ -53,6 +41,26 @@ def test_homology_against_alexander_oracle_random():
     for _ in range(1500):
         a = tuple(rng.randint(2, 40) for _ in range(5))
         assert lk.homology_classify(a) == oracles.homology_by_alexander(a), a
+
+
+def test_homology_against_alexander_oracle_on_gcd_table_cases():
+    rng = random.Random(13)
+    vectors = list(product(range(2, 31), repeat=2))
+    vectors += [tuple(rng.randint(2, 40) for _ in range(m)) for m in (6, 7) for _ in range(150)]
+    # 3 or 5 even exponents of pairwise gcd 2, with odd ones coprime to them
+    # or sharing a factor (9 and 21 with 6, 25 with 10, 21 with 14)
+    for k in (3, 5):
+        for evens in combinations((2, 6, 10, 14, 22, 26), k):
+            for odds in ((), (7,), (11, 13), (9,), (25, 11), (21, 13)):
+                vectors.append(evens + odds)
+    # a lone even exponent coprime to the rest is isolated but not integral
+    vectors += [(3, 3, 3, 4), (3, 3, 3, 2), (5, 5, 5, 8), (9, 9, 9, 9, 4), (3, 3, 4)]
+    kinds = set()
+    for a in vectors:
+        kind = lk.homology_classify(a)
+        assert kind == oracles.homology_by_alexander(a), a
+        kinds.add(kind)
+    assert kinds == {lk.INTEGRAL, lk.RATIONAL, lk.OTHER}
 
 
 def test_fano_examples():
@@ -212,6 +220,23 @@ def test_verdict_computes_degree_once(a, monkeypatch):
     # d = lcm(a) once; BGK (3) adds one lcm per exponent when it is reached
     assert calls.count(a) == 1
     assert len(calls) <= 1 + len(a)
+
+
+@pytest.mark.parametrize("a", [
+    (2, 3, 7, 5), (2, 2, 2, 21), (2, 3, 5, 61), (2, 4, 6, 9, 5), (6, 10, 15),
+    (2, 6, 10, 9, 7, 11, 13),
+])
+def test_verdict_takes_each_pair_gcd_once(a, monkeypatch):
+    calls = []
+
+    def counting_gcd(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(lk, "gcd", counting_gcd)
+    lk.link_verdict(a)
+    m = len(a)
+    assert len(calls) <= m * (m - 1) // 2
 
 
 def test_exotic_sphere_signatures():

@@ -12,14 +12,23 @@ from reebmin import cli
 from reebmin.errors import SchemaError
 
 jsonschema = pytest.importorskip("jsonschema")
+referencing = pytest.importorskip("referencing")
 
 ROOT = Path(__file__).resolve().parent.parent
 BAD_PAYLOADS = Path(__file__).parent / "data" / "bad_payloads.ndjson"
 
 
+def load_schema(name):
+    return json.loads((ROOT / "schemas" / name).read_text())
+
+
 def payload_schema(command):
-    schema = json.loads((ROOT / "schemas" / "jobspec.schema.json").read_text())
-    return jsonschema.Draft202012Validator(schema["$defs"][command])
+    # the cone payloads refer to the cone schema by its $id
+    cone = load_schema("cone.schema.json")
+    registry = referencing.Registry().with_resource(
+        cone["$id"], referencing.Resource.from_contents(cone))
+    schema = load_schema("jobspec.schema.json")["$defs"][command]
+    return jsonschema.Draft202012Validator(schema, registry=registry)
 
 
 def test_jobspec_schema_agrees_with_handlers():
