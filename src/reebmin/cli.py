@@ -20,19 +20,6 @@ from fractions import Fraction
 from . import __version__, cones, latcore, links, obstruct, reebvol, ypq
 from .errors import ReebminError, SchemaError
 
-COMMANDS = (
-    "cone-minimize",
-    "cone-topology",
-    "link-check",
-    "link-enumerate",
-    "obstruct-hs",
-    "join",
-    "ypq",
-    "labc",
-    "gale-dual",
-)
-
-
 def _jsonable(x):
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
@@ -79,8 +66,18 @@ def _int_list(payload, key):
     return val
 
 
+CONE_KEYS = ("n", "normals")
+
+
+def _known_keys(obj, allowed, where):
+    unknown = [k for k in obj if k not in allowed]
+    if unknown:
+        raise SchemaError(f"unknown field(s) {', '.join(map(repr, unknown))} in {where}")
+
+
 def _cone_payload(payload) -> cones.MomentCone:
     data = _need(payload, "cone", dict)
+    _known_keys(data, CONE_KEYS, "the cone")
     normals = _need(data, "normals", list)
     if not all(isinstance(v, list) and all(map(_is_int, v)) for v in normals):
         raise SchemaError("field 'normals' must be a list of integer lists")
@@ -306,6 +303,22 @@ _HANDLERS = {
     "gale-dual": _run_gale_dual,
 }
 
+COMMANDS = tuple(_HANDLERS)
+
+# the payload fields of each command, as its $defs entry in
+# schemas/jobspec.schema.json lists them; run() rejects any other field
+PAYLOAD_KEYS = {
+    "cone-minimize": ("cone", "exact_certify"),
+    "cone-topology": ("cone",),
+    "link-check": ("exponents",),
+    "link-enumerate": ("template", "range", "predicate"),
+    "obstruct-hs": ("weights", "degree"),
+    "join": ("ord", "index", "n"),
+    "ypq": ("p", "q", "check_einstein", "samples", "seed"),
+    "labc": ("a", "b", "c", "to_cone"),
+    "gale-dual": ("charges", "ncols"),
+}
+
 
 def run(spec: dict, timing: bool = False) -> dict:
     """Execute one JobSpec and return its Report dictionary.
@@ -321,6 +334,7 @@ def run(spec: dict, timing: bool = False) -> dict:
     payload = spec.get("payload", {})
     if not isinstance(payload, dict):
         raise SchemaError("payload must be an object")
+    _known_keys(payload, PAYLOAD_KEYS[command], f"the {command} payload")
     started = time.perf_counter()
     results, tolerances, strict_fail = _HANDLERS[command](payload)
     report = {
@@ -576,10 +590,16 @@ def _spec_from_args(args) -> dict:
 
 def _run_batch(args, out) -> int:
     if args.file == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        with open(args.file, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        # universal newlines, as for a file: \n, \r\n and a lone \r end a line
+        sys.stdin.reconfigure(newline=None)
+        return _batch_lines(sys.stdin, args, out)
+    with open(args.file, encoding="utf-8") as fh:
+        return _batch_lines(fh, args, out)
+
+
+def _batch_lines(lines, args, out) -> int:
+    # iterating the stream splits at line ends only, where str.splitlines
+    # would also split a JSON string at a raw U+2028 or \x1c
     worst = 0
     for line in lines:
         line = line.strip()

@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import cones as _cones
 from .errors import (
     BoundaryPoint,
@@ -242,6 +240,34 @@ def _reduced(cone, xi, order):
     return vol, g, h
 
 
+def _solve(a, b):
+    """x with a x = b: Gaussian elimination with partial pivoting.
+
+    The Newton system on the slice xi_0 = n is only (n-1) x (n-1), so a
+    few float loops do and the minimizer needs no numpy.  The multipliers
+    are scaled by the pivot's reciprocal, as LAPACK's getf2 does.  None
+    when a pivot is exactly zero, i.e. a is singular in working precision.
+    """
+    m = len(b)
+    rows = [list(row) + [v] for row, v in zip(a, b)]
+    for k in range(m):
+        p = max(range(k, m), key=lambda i: abs(rows[i][k]))
+        if rows[p][k] == 0.0:
+            return None
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k]
+        inv = 1.0 / pivot[k]
+        for row in rows[k + 1:]:
+            f = row[k] * inv
+            for j in range(k + 1, m + 1):
+                row[j] -= f * pivot[j]
+    x = [0.0] * m
+    for k in reversed(range(m)):
+        row = rows[k]
+        x[k] = (row[m] - sum(row[j] * x[j] for j in range(k + 1, m))) / row[k]
+    return x
+
+
 def _newton(cone, tol, max_iter, xi0=None):
     n = cone.n
     rays = cone.rays
@@ -258,13 +284,12 @@ def _newton(cone, tol, max_iter, xi0=None):
         # one undamped Newton step once inside the tolerance ball; shrinks
         # the remaining coordinate error quadratically
         _, grad, hess = _reduced(cone, xi, order=2)
-        try:
-            step = np.linalg.solve(np.array(hess, float), -np.array(grad, float))
-        except np.linalg.LinAlgError:
+        step = _solve(hess, [-g for g in grad])
+        if step is None:
             return xi, gnorm
         cand = list(xi)
         for i in range(n - 1):
-            cand[i + 1] += float(step[i])
+            cand[i + 1] += step[i]
         try:
             _, g2, _ = _reduced(cone, cand, order=1)
         except ReebNotInterior:
@@ -278,12 +303,9 @@ def _newton(cone, tol, max_iter, xi0=None):
         if gnorm <= tol:
             xi, gnorm = polish(xi, gnorm)
             return tuple(float(x) for x in xi), it - 1, gnorm
-        try:
-            step = np.linalg.solve(np.array(hess, float), -np.array(grad, float))
-        except np.linalg.LinAlgError:
-            step = -np.array(grad, float)
-        if float(np.dot(step, grad)) >= 0:
-            step = -np.array(grad, float)
+        step = _solve(hess, [-g for g in grad])
+        if step is None or sum(s * g for s, g in zip(step, grad)) >= 0:
+            step = [-g for g in grad]
         # fraction-to-boundary: keep every ray pairing above 1% of its value
         tmax = 1.0
         for r in rays:
@@ -292,7 +314,7 @@ def _newton(cone, tol, max_iter, xi0=None):
                 pair = dot(r, xi)
                 tmax = min(tmax, 0.99 * pair / drop)
         t = tmax
-        slope = float(np.dot(step, grad))
+        slope = sum(s * g for s, g in zip(step, grad))
         for _ in range(60):
             cand = list(xi)
             for i in range(n - 1):
@@ -391,6 +413,8 @@ def _has_integer_relation(b, x, bound=512, tol=1e-7):
     m2 <= 16.  Each grid element is the same float expression as in a
     full-grid scan, so the answer does not depend on the block size.
     """
+    import numpy as np
+
     m1 = np.arange(-bound, bound + 1, dtype=float)[:, None]
     m1b = m1 * b
     base = 1.0 + np.abs(m1) * abs(b)
@@ -480,8 +504,8 @@ def minimize_reeb(cone, *, max_iter=200, xi0=None) -> MinimizationResult:
 
 @dataclass(frozen=True)
 class CanonicalMetricReport:
-    g_sympl: np.ndarray        # G_ij, the symplectic-potential Hessian at y
-    block_metric: np.ndarray   # block-diagonal (G_ij, G^ij) on (y, phi)
+    g_sympl: object            # G_ij, the symplectic-potential Hessian at y (ndarray)
+    block_metric: object       # block-diagonal (G_ij, G^ij) on (y, phi) (ndarray)
     reeb_reconstructed: tuple  # 2 G_ij y_j, should reproduce xi
     positive_definite: bool
     reeb_residual: float
@@ -503,6 +527,8 @@ def canonical_metric_eval(cone, xi, y) -> CanonicalMetricReport:
     Checks positive-definiteness, the Reeb reconstruction 2 G y = xi, and
     the degree-2 homogeneity of r^2 = 2 <y, xi> under the Euler field.
     """
+    import numpy as np
+
     c = _resolve(cone)
     xi = tuple(float(v) for v in _xi_tuple(xi))
     y = tuple(float(v) for v in y)

@@ -17,8 +17,6 @@ from fractions import Fraction
 from math import gcd, isqrt
 from operator import add
 
-import numpy as np
-
 from . import cones as _cones
 from . import latcore
 from .errors import BadParams, DegenerateChartPoint
@@ -114,7 +112,10 @@ class ChartPoint:
     psi: float
     alpha: float
 
-    def coords(self) -> np.ndarray:
+    def coords(self):
+        """The coordinates as a numpy vector."""
+        import numpy as np
+
         return np.array([self.theta, self.phi, self.y, self.psi, self.alpha])
 
 
@@ -237,8 +238,11 @@ def _components(Y: YpqParams, x: ChartPoint, y, ct, st) -> dict:
     }
 
 
-def metric_eval(Y: YpqParams, x: ChartPoint) -> np.ndarray:
-    """Metric components g_{ij} at x, coordinate order (theta, phi, y, psi, alpha)."""
+def metric_eval(Y: YpqParams, x: ChartPoint):
+    """Metric components g_{ij} at x, coordinate order (theta, phi, y, psi,
+    alpha), as a 5 x 5 numpy array."""
+    import numpy as np
+
     g = np.zeros((5, 5))
     for (i, j), v in _components(Y, x, x.y, math.cos(x.theta), math.sin(x.theta)).items():
         g[i, j] = g[j, i] = v
@@ -246,7 +250,7 @@ def metric_eval(Y: YpqParams, x: ChartPoint) -> np.ndarray:
 
 
 def _metric_fn(Y: YpqParams):
-    def fn(coords: np.ndarray) -> np.ndarray:
+    def fn(coords):
         return metric_eval(Y, ChartPoint(*coords))
 
     return fn
@@ -258,14 +262,17 @@ def metric_jets(Y: YpqParams, x: ChartPoint) -> dict:
     return _components(Y, x, Jet(x.y, (0.0, 1.0)), theta.cos(), theta.sin())
 
 
-def ricci_from_jets(components: dict, dim: int, slots: tuple[int, int]) -> np.ndarray:
-    """Ricci tensor from the second-order jets of the metric components.
+def ricci_from_jets(components: dict, dim: int, slots: tuple[int, int]):
+    """Ricci tensor, a dim x dim numpy array, from the second-order jets of
+    the metric components.
 
     components maps (i, j), i <= j, to a Jet or a float; the two jet
     variables are the coordinates slots[0] and slots[1], and no component
     depends on any other coordinate.  Gamma comes from g^-1 and dg, dGamma
     from d(g^-1) = -g^-1 (dg) g^-1, all exact up to rounding.
     """
+    import numpy as np
+
     g = np.zeros((dim, dim))
     dg = np.zeros((dim, dim, dim))             # dg[l, i, j] = d_l g_ij
     ddg = np.zeros((dim, dim, dim, dim))       # ddg[a, l, i, j] = d_a d_l g_ij
@@ -295,7 +302,7 @@ def ricci_from_jets(components: dict, dim: int, slots: tuple[int, int]) -> np.nd
     return 0.5 * (ric + ric.T)
 
 
-def ricci_fd(Y: YpqParams, x: ChartPoint) -> np.ndarray:
+def ricci_fd(Y: YpqParams, x: ChartPoint):
     """Ricci tensor of the Y^{p,q} metric at x.
 
     The derivatives dg and ddg are exact second-order jets of the metric
@@ -308,13 +315,13 @@ def ricci_fd(Y: YpqParams, x: ChartPoint) -> np.ndarray:
 def einstein_residual(Y: YpqParams, x: ChartPoint) -> float:
     """max |Ric - 4 g| entrywise (the Einstein constant is 2(n-1) = 4)."""
     ric = ricci_fd(Y, x)
-    return float(np.max(np.abs(ric - 4.0 * metric_eval(Y, x))))
+    return float(abs(ric - 4.0 * metric_eval(Y, x)).max())
 
 
 def metric_scale(Y: YpqParams, x: ChartPoint) -> float:
     """max(1, max_ij |g_ij|) at x: the entries of g grow with p, so the
     Einstein residual there is held to a bound relative to this."""
-    return max(1.0, float(np.max(np.abs(metric_eval(Y, x)))))
+    return max(1.0, float(abs(metric_eval(Y, x)).max()))
 
 
 def killing_residual(Y: YpqParams, x: ChartPoint) -> float:
@@ -327,29 +334,27 @@ def killing_residual(Y: YpqParams, x: ChartPoint) -> float:
     h = 1e-4
     fn = _metric_fn(Y)
     coords = x.coords()
-    lie = np.zeros((5, 5))
+    lie = 0.0
     for a, comp in enumerate(REEB_COMPONENTS):
         if comp == 0.0:
             continue
         xp, xm = coords.copy(), coords.copy()
         xp[a] += h
         xm[a] -= h
-        lie += comp * (fn(xp) - fn(xm)) / (2.0 * h)
-    return float(np.max(np.abs(lie)))
+        lie = lie + comp * (fn(xp) - fn(xm)) / (2.0 * h)
+    return float(abs(lie).max())
 
 
 def reeb_norm_residual(Y: YpqParams, x: ChartPoint) -> float:
     """|g(xi, xi) - 1|: the contact form eta = g(xi, .) must give eta(xi) = 1."""
     g = metric_eval(Y, x)
-    xi = np.array(REEB_COMPONENTS)
-    return abs(float(xi @ g @ xi) - 1.0)
+    return abs(float(REEB_COMPONENTS @ g @ REEB_COMPONENTS) - 1.0)
 
 
 def ricci_reeb_residual(Y: YpqParams, x: ChartPoint) -> float:
     """|Ric(xi, xi) - 4|, checked independently of the full Einstein test."""
     ric = ricci_fd(Y, x)
-    xi = np.array(REEB_COMPONENTS)
-    return abs(float(xi @ ric @ xi) - 4.0)
+    return abs(float(REEB_COMPONENTS @ ric @ REEB_COMPONENTS) - 4.0)
 
 
 def random_chart_points(Y: YpqParams, count: int, rng) -> list[ChartPoint]:

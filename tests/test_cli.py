@@ -1,3 +1,4 @@
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -447,3 +448,112 @@ def test_cli_import_loads_no_test_extras():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# one job of every code path that builds no array: none may load numpy
+NUMPY_FREE_SPECS = [
+    {"command": "link-check", "payload": {"exponents": [2, 3, 7, 5]}},
+    {"command": "link-enumerate",
+     "payload": {"template": [2, 3, 5, None], "range": [6, 30], "predicate": "gk"}},
+    {"command": "obstruct-hs", "payload": {"weights": [21, 21, 21, 2], "degree": 42}},
+    {"command": "join", "payload": {"ord": [1, 1], "index": [2, 2], "n": [2, 2]}},
+    {"command": "ypq", "payload": {"p": 2, "q": 1}},
+    {"command": "labc", "payload": {"a": 1, "b": 3, "c": 2, "to_cone": True}},
+    {"command": "gale-dual", "payload": {"charges": [[2, 2, -1, -3]]}},
+    {"command": "cone-topology", "payload": CONIFOLD_PAYLOAD},
+    {"command": "cone-minimize", "payload": dict(CONIFOLD_PAYLOAD, exact_certify=True)},
+]
+
+
+def test_numpy_stays_off_the_start_up_path():
+    import subprocess
+    import sys
+
+    code = (
+        "import json, sys\n"
+        "before = 'numpy' in sys.modules\n"
+        "from reebmin import cli\n"
+        "for spec in json.loads(sys.argv[1]):\n"
+        "    cli.run(spec)\n"
+        "print(json.dumps([before, 'numpy' in sys.modules]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(NUMPY_FREE_SPECS)],
+        capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": child_pythonpath()},
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, loaded = json.loads(proc.stdout)
+    assert not before  # the interpreter itself did not load it
+    assert not loaded
+
+
+def test_array_paths_keep_their_reports():
+    # an irregular minimizer (rank estimate) and the Einstein check still
+    # load numpy; their reports are pinned to the bits the LAPACK solve gave.
+    # Y^{3,1} is irregular of rank 2: only sqrt(4p^2 - 3q^2) enters xi
+    y31 = {"n": 3, "normals": [[1, 0, 0], [1, 1, 0], [1, 3, 3], [1, 1, 2]]}
+    report = cli.run({"command": "cone-minimize", "payload": {"cone": y31}})
+    assert report["results"] == {
+        "basis_change": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "gorenstein_ell": 1,
+        "gradient_norm": 1.0896096981628377e-18,
+        "iterations": 3,
+        "normalized_volume": 0.19473794616036783,
+        "rank": 2,
+        "regularity": "irregular",
+        "sasakian_volume": 6.038098638801693,
+        "xi_star": [3.0, 4.116843969807044, 4.116843969807044],
+    }
+    spec = {"command": "ypq",
+            "payload": {"p": 3, "q": 1, "check_einstein": True, "samples": 4, "seed": 5}}
+    assert cli.run(spec)["results"] == {
+        "a": 0.1808576307478873,
+        "einstein": {
+            "eta_max": 2.220446049250313e-16,
+            "killing_max": 0.0,
+            "max_residual": 1.0658141036401503e-14,
+            "mean_residual": 6.217248937900877e-15,
+            "pass": True,
+            "samples": 4,
+            "seed": 5,
+        },
+        "m": None,
+        "p": 3,
+        "q": 1,
+        "regularity": "irregular",
+        "roots": [-0.22871355387816905, 0.27128644612183095, 1.457427107756338],
+    }
+
+
+def test_every_command_rejects_an_unknown_payload_field():
+    # the misspelt cone-minimize flag and cone field are bad_payloads lines
+    for spec in ONE_SPEC_PER_COMMAND:
+        with pytest.raises(SchemaError, match="'typo'"):
+            cli.run({"command": spec["command"], "payload": dict(spec["payload"], typo=0)})
+
+
+@pytest.mark.parametrize("from_stdin", [False, True])
+def test_batch_keeps_a_line_separator_inside_a_json_string(
+    tmp_path, capsys, monkeypatch, from_stdin
+):
+    # a raw U+2028 inside a JSON string: str.splitlines would cut the line
+    # there into two bad-JSON lines; the predicate parser strips it.  A lone
+    # \r still ends a line, from a file and from stdin alike.
+    spec = {"command": "link-enumerate",
+            "payload": {"template": [2, 3, 7, None], "range": [5, 8], "predicate": "bgk\u2028"}}
+    line = json.dumps(spec, ensure_ascii=False)
+    assert "\u2028" in line and len(line.splitlines()) == 2
+    data = (line + "\r" + json.dumps(ONE_SPEC_PER_COMMAND[2]) + "\n").encode()
+    batch = tmp_path / "jobs.ndjson"
+    batch.write_bytes(data)
+    if from_stdin:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    code = cli.main(["batch", "-" if from_stdin else str(batch)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert len(out) == 2
+    reports = [json.loads(line) for line in out]
+    assert reports[0]["input"]["predicate"] == "bgk\u2028"
+    assert reports[0]["results"]["count"] >= 1
+    assert reports[1]["command"] == "link-check"

@@ -537,3 +537,71 @@ def test_integer_relation_matches_full_grid():
                 assert rv._has_integer_relation(b, x, bound) == expected, (b, x, bound)
                 results.add(expected)
     assert results == {True, False}
+
+
+# --- the Newton solve, against numpy.linalg.solve as a test-only oracle ------
+
+
+def numpy_solve(a, b):
+    try:
+        return np.linalg.solve(np.array(a, float), np.array(b, float))
+    except np.linalg.LinAlgError:
+        return None
+
+
+def test_solve_matches_numpy_on_random_systems():
+    rng = np.random.default_rng(11)
+    checked = 0
+    for m in (1, 2, 3):
+        for _ in range(300):
+            a, b = rng.normal(size=(m, m)), rng.normal(size=m)
+            if np.linalg.cond(a) > 1e3:
+                continue
+            x, ref = rv._solve(a.tolist(), b.tolist()), numpy_solve(a, b)
+            assert all(type(v) is float for v in x)
+            assert np.max(np.abs(np.array(x) - ref)) <= 1e-12 * np.max(np.abs(ref))
+            checked += 1
+    assert checked > 800
+
+
+def test_solve_returns_none_where_numpy_finds_a_singular_matrix():
+    # entries and combinations are dyadic, so both eliminations are exact
+    # and meet an exactly zero pivot
+    rng = random.Random(5)
+    dyadic = (0, 1, -1, 2, -2, 4, -4, 0.5)
+    cases = [[[0.0]], [[0.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 2.0]],
+             [[1.0, 2.0], [2.0, 4.0]], [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]],
+             [[0.0, 2.0, 1.0], [1.0, 0.0, 3.0], [2.0, 4.0, 8.0]]]
+    for _ in range(200):
+        m = rng.choice((2, 3))
+        u = [rng.choice(dyadic) for _ in range(m)]
+        v = [rng.choice(dyadic) for _ in range(m)]
+        rows = [[p * q for q in v] for p in u]  # rank <= 1
+        if m == 3 and rng.random() < 0.5:
+            r0 = [float(rng.randint(-3, 3)) for _ in range(3)]
+            r1 = [0.0, 1.0, float(rng.randint(-3, 3))]
+            c0, c1 = rng.choice(dyadic), rng.choice(dyadic)
+            rows = [r0, r1, [c0 * p + c1 * q for p, q in zip(r0, r1)]]  # rank <= 2
+            rng.shuffle(rows)
+        cases.append(rows)
+    for a in cases:
+        b = [1.0] * len(a)
+        assert numpy_solve(a, b) is None, a
+        assert rv._solve(a, b) is None, a
+    for a in ([[1.0]], [[2.0, 1.0], [1.0, 2.0]], [[1.0, 2.0], [3.0, 4.0]]):
+        assert numpy_solve(a, [1.0] * len(a)) is not None
+        assert rv._solve(a, [1.0] * len(a)) is not None
+
+
+@pytest.mark.parametrize("a, b, x", [
+    ([[0.0, 1.0], [1.0, 0.0]], [2.0, 3.0], [3.0, 2.0]),
+    ([[0.0, 2.0], [4.0, 1.0]], [2.0, 9.0], [2.0, 1.0]),
+    ([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], [1.0, 2.0, 3.0], [3.0, 2.0, 1.0]),
+    ([[0.0, 2.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 3.0]], [4.0, 1.0, 5.0], [1.0, 1.4, 1.2]),
+    ([[1.0, 1.0, 1.0], [1.0, 1.0, 2.0], [1.0, 2.0, 2.0]], [3.0, 4.0, 5.0], [1.0, 1.0, 1.0]),
+])
+def test_solve_pivots_past_a_zero_leading_entry(a, b, x):
+    # the last case meets a zero pivot only after the first elimination step
+    got = rv._solve(a, b)
+    assert got == pytest.approx(x, rel=1e-15)
+    assert got == pytest.approx(numpy_solve(a, b).tolist(), rel=1e-15)

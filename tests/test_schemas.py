@@ -41,3 +41,14 @@ def test_jobspec_schema_agrees_with_handlers():
             accepted = False
         assert payload_schema(spec["command"]).is_valid(spec["payload"]) == accepted, line
 
+
+
+def test_payload_key_table_matches_the_schema():
+    # cli keeps its own table so that the runtime never reads the schema
+    defs = load_schema("jobspec.schema.json")["$defs"]
+    assert sorted(defs) == sorted(cli.PAYLOAD_KEYS)
+    for command, entry in defs.items():
+        assert entry["additionalProperties"] is False
+        assert sorted(entry["properties"]) == sorted(cli.PAYLOAD_KEYS[command]), command
+    cone = load_schema("cone.schema.json")
+    assert sorted(cone["properties"]) == sorted(cli.CONE_KEYS)
