@@ -20,6 +20,11 @@ from fractions import Fraction
 from . import __version__, cones, latcore, links, obstruct, reebvol, ypq
 from .errors import ReebminError, SchemaError
 
+# the most work one payload may ask for: Einstein points, link-enumerate values
+MAX_SAMPLES = 10_000
+MAX_RANGE_WIDTH = 100_000
+
+
 def _jsonable(x):
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
@@ -142,6 +147,8 @@ def _run_link_enumerate(payload):
     if len(bounds) != 2:
         raise SchemaError("field 'range' must be [lo, hi]")
     lo, hi = bounds
+    if hi - lo >= MAX_RANGE_WIDTH:
+        raise SchemaError(f"field 'range' may hold at most {MAX_RANGE_WIDTH} values")
     pred_spec = payload.get("predicate")
     if not (pred_spec is None or isinstance(pred_spec, str)):
         raise SchemaError("field 'predicate' must be a string or null")
@@ -209,6 +216,10 @@ def _run_ypq(payload):
     p = _need(payload, "p", int)
     q = _need(payload, "q", int)
     check_einstein = _flag(payload, "check_einstein")
+    samples = _opt_int(payload, "samples", 20)
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise SchemaError(f"field 'samples' must be between 1 and {MAX_SAMPLES}")
+    seed = _opt_int(payload, "seed", 0)
     Y = ypq.ypq_params(p, q)
     reg = ypq.quasiregular_check(p, q)
     results = {
@@ -219,36 +230,28 @@ def _run_ypq(payload):
         "regularity": reg.kind,
         "m": reg.m,
     }
-    tolerances = {}
-    strict_fail = False
-    samples = _opt_int(payload, "samples", 20)
-    if samples < 1:
-        raise SchemaError("field 'samples' must be at least 1")
-    seed = _opt_int(payload, "seed", 0)
-    if check_einstein:
-        rng = random.Random(seed)
-        pts = ypq.random_chart_points(Y, samples, rng)
-        res = [ypq.einstein_residual(Y, x) for x in pts]
-        kil = [ypq.killing_residual(Y, x) for x in pts]
-        eta = [ypq.reeb_norm_residual(Y, x) for x in pts]
-        tolerances = {"einstein": 1e-9, "killing": 1e-6, "eta": 1e-6}
-        # each point is held to 1e-9 max(1, max_ij |g_ij|), as the entries of
-        # g grow with p; the scale only matters where the residual tops 1e-9
-        einstein_ok = all(
-            r <= 1e-9 or r <= 1e-9 * ypq.metric_scale(Y, x) for r, x in zip(res, pts)
-        )
-        ok = einstein_ok and max(kil) <= 1e-6 and max(eta) <= 1e-6
-        results["einstein"] = {
-            "samples": samples,
-            "seed": seed,
-            "max_residual": max(res),
-            "mean_residual": sum(res) / len(res),
-            "killing_max": max(kil),
-            "eta_max": max(eta),
-            "pass": ok,
-        }
-        strict_fail = not ok
-    return results, tolerances, strict_fail
+    if not check_einstein:
+        return results, {}, False
+    pts = ypq.random_chart_points(Y, samples, random.Random(seed))
+    res = [ypq.einstein_residual(Y, x) for x in pts]
+    kil = [ypq.killing_residual(Y, x) for x in pts]
+    eta = [ypq.reeb_norm_residual(Y, x) for x in pts]
+    # each point is held to 1e-9 max(1, max_ij |g_ij|), as the entries of
+    # g grow with p; the scale only matters where the residual tops 1e-9
+    einstein_ok = all(
+        r <= 1e-9 or r <= 1e-9 * ypq.metric_scale(Y, x) for r, x in zip(res, pts)
+    )
+    ok = einstein_ok and max(kil) <= 1e-6 and max(eta) <= 1e-6
+    results["einstein"] = {
+        "samples": samples,
+        "seed": seed,
+        "max_residual": max(res),
+        "mean_residual": sum(res) / len(res),
+        "killing_max": max(kil),
+        "eta_max": max(eta),
+        "pass": ok,
+    }
+    return results, {"einstein": 1e-9, "killing": 1e-6, "eta": 1e-6}, not ok
 
 
 def _run_labc(payload):

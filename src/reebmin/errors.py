@@ -58,10 +58,6 @@ class ConvergenceFailure(ReebminError):
         super().__init__(msg or f"no convergence after {iterations} iterations")
 
 
-class BoundaryPoint(ReebminError):
-    """Symplectic-potential evaluation at a point where a log term is singular."""
-
-
 # --- links ---
 
 class NotHomologySphere(ReebminError):

@@ -25,12 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cones as _cones
-from .errors import (
-    BoundaryPoint,
-    ConvergenceFailure,
-    NotGorenstein,
-    ReebNotInterior,
-)
+from .errors import ConvergenceFailure, NotGorenstein, ReebNotInterior
 from .latcore import dot
 
 GRAD_TOL = 1e-10
@@ -498,68 +493,3 @@ def minimize_reeb(cone, *, max_iter=200, xi0=None) -> MinimizationResult:
         gradient_norm=gnorm,
     )
 
-
-# --- canonical toric metric -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CanonicalMetricReport:
-    g_sympl: object            # G_ij, the symplectic-potential Hessian at y (ndarray)
-    block_metric: object       # block-diagonal (G_ij, G^ij) on (y, phi) (ndarray)
-    reeb_reconstructed: tuple  # 2 G_ij y_j, should reproduce xi
-    positive_definite: bool
-    reeb_residual: float
-    homogeneity_residual: float
-
-    @property
-    def ok(self) -> bool:
-        return (self.positive_definite and self.reeb_residual <= 1e-9
-                and self.homogeneity_residual <= 1e-9)
-
-
-def canonical_metric_eval(cone, xi, y) -> CanonicalMetricReport:
-    """Evaluate the canonical symplectic potential's metric at interior y.
-
-    G = G_can + G_xi with
-      G_can = 1/2 sum_a <y, v_a> log <y, v_a>
-      G_xi  = 1/2 <y, xi> log <y, xi> - 1/2 <y, s> log <y, s>,  s = sum_a v_a,
-    so G_ij = 1/2 [ sum_a v v^T/<y,v> + xi xi^T/<y,xi> - s s^T/<y,s> ].
-    Checks positive-definiteness, the Reeb reconstruction 2 G y = xi, and
-    the degree-2 homogeneity of r^2 = 2 <y, xi> under the Euler field.
-    """
-    import numpy as np
-
-    c = _resolve(cone)
-    xi = tuple(float(v) for v in _xi_tuple(xi))
-    y = tuple(float(v) for v in y)
-    n = c.n
-    _pairings(c, xi)  # raises ReebNotInterior for bad xi
-    pv = [dot(y, v) for v in c.normals]
-    if any(p <= 0 for p in pv):
-        raise BoundaryPoint(f"y = {y} touches a facet; log terms singular")
-    s = [sum(v[i] for v in c.normals) for i in range(n)]
-    py = dot(y, xi)
-    ps = dot(y, s)
-    G = np.zeros((n, n))
-    for v, p in zip(c.normals, pv):
-        G += np.outer(v, v) / p
-    G += np.outer(xi, xi) / py
-    G -= np.outer(s, s) / ps
-    G *= 0.5
-    eig = np.linalg.eigvalsh(G)
-    reeb = 2 * G @ np.array(y)
-    reeb_res = float(np.max(np.abs(reeb - np.array(xi))))
-    r2 = 2 * py
-    euler_r2 = 2 * dot(y, [2 * x for x in xi])  # (sum 2 y_i d_i) r^2
-    hom_res = abs(euler_r2 - 2 * r2) / max(1.0, abs(r2))
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n] = G
-    block[n:, n:] = np.linalg.inv(G)
-    return CanonicalMetricReport(
-        g_sympl=G,
-        block_metric=block,
-        reeb_reconstructed=tuple(float(x) for x in reeb),
-        positive_definite=bool(eig[0] > 0),
-        reeb_residual=reeb_res,
-        homogeneity_residual=hom_res,
-    )

@@ -12,8 +12,9 @@ minimization live here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 from operator import add
 
@@ -111,12 +112,6 @@ class ChartPoint:
     y: float
     psi: float
     alpha: float
-
-    def coords(self):
-        """The coordinates as a numpy vector."""
-        import numpy as np
-
-        return np.array([self.theta, self.phi, self.y, self.psi, self.alpha])
 
 
 # Reeb field xi = 3 d_psi - 1/2 d_alpha in chart coordinates
@@ -238,22 +233,17 @@ def _components(Y: YpqParams, x: ChartPoint, y, ct, st) -> dict:
     }
 
 
+def _float_components(Y: YpqParams, x: ChartPoint) -> dict:
+    return _components(Y, x, x.y, math.cos(x.theta), math.sin(x.theta))
+
+
 def metric_eval(Y: YpqParams, x: ChartPoint):
     """Metric components g_{ij} at x, coordinate order (theta, phi, y, psi,
-    alpha), as a 5 x 5 numpy array."""
-    import numpy as np
-
-    g = np.zeros((5, 5))
-    for (i, j), v in _components(Y, x, x.y, math.cos(x.theta), math.sin(x.theta)).items():
-        g[i, j] = g[j, i] = v
-    return g
-
-
-def _metric_fn(Y: YpqParams):
-    def fn(coords):
-        return metric_eval(Y, ChartPoint(*coords))
-
-    return fn
+    alpha), as a 5 x 5 tuple of tuples."""
+    g = [[0.0] * 5 for _ in range(5)]
+    for (i, j), v in _float_components(Y, x).items():
+        g[i][j] = g[j][i] = v
+    return tuple(map(tuple, g))
 
 
 def metric_jets(Y: YpqParams, x: ChartPoint) -> dict:
@@ -262,44 +252,121 @@ def metric_jets(Y: YpqParams, x: ChartPoint) -> dict:
     return _components(Y, x, Jet(x.y, (0.0, 1.0)), theta.cos(), theta.sin())
 
 
-def ricci_from_jets(components: dict, dim: int, slots: tuple[int, int]):
-    """Ricci tensor, a dim x dim numpy array, from the second-order jets of
-    the metric components.
+@lru_cache(maxsize=16)
+def _ricci_plan(keys: tuple, dim: int, slots: tuple):
+    """The sparse program that ricci_from_jets runs for one zero pattern.
 
-    components maps (i, j), i <= j, to a Jet or a float; the two jet
-    variables are the coordinates slots[0] and slots[1], and no component
-    depends on any other coordinate.  Gamma comes from g^-1 and dg, dGamma
-    from d(g^-1) = -g^-1 (dg) g^-1, all exact up to rounding.
+    The tape holds 1, 2 and six entries per key (g, d_0 g, d_1 g, d_00 g,
+    d_01 g, d_11 g; d_a along slots[a]); each step appends one entry: 1 / t[e]
+    for (None, e), else the products of the index pairs in plus, summed,
+    less those in minus.  No product with a structurally zero factor is
+    listed.  With S_lij = d_i g_lj + d_j g_li - d_l g_ij, gamma = g^-1 S
+    (twice the Christoffel symbols), M_a = g^-1 d_a g, Gamma^k_ki = tr(M_i) / 2
+    and sums over repeated indices,
+
+        4 Ric_ij = 2 (g^{s_a l} d_a S_lij - [tr(g^-1 d_i d_j g) - tr(M_i M_j)])
+                   + w_m gamma^m_ij - gamma^k_jl gamma^l_ik,
+        w_m = [m = s_a] tr(M_a) - 2 (M_a)^{s_a}_m,
+
+    the bracket only where i and j are both slots.  Returns the steps and
+    the tape indices of 4 Ric (None where it is structurally zero).
     """
-    import numpy as np
+    slot = {s: a for a, s in enumerate(slots)}
+    at = {}
+    for e, (i, j) in enumerate(keys):
+        at[i, j] = at[j, i] = 2 + 6 * e
+    program, size = [], 2 + 6 * len(keys)
 
-    g = np.zeros((dim, dim))
-    dg = np.zeros((dim, dim, dim))             # dg[l, i, j] = d_l g_ij
-    ddg = np.zeros((dim, dim, dim, dim))       # ddg[a, l, i, j] = d_a d_l g_ij
-    s0, s1 = slots
-    for (i, j), t in components.items():
-        if not isinstance(t, Jet):
-            t = Jet(t)
-        for (k, l) in ((i, j), (j, i)):
-            g[k, l] = t.v
-            dg[s0, k, l], dg[s1, k, l] = t.d
-            ddg[s0, s0, k, l], ddg[s0, s1, k, l], ddg[s1, s1, k, l] = t.h
-            ddg[s1, s0, k, l] = t.h[1]
-    ginv = np.linalg.inv(g)
-    # S[l,i,j] = d_i g_{lj} + d_j g_{li} - d_l g_{ij}, and its derivatives
-    s = np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg) - dg
-    ds = np.einsum("ailj->alij", ddg) + np.einsum("ajli->alij", ddg) - ddg
-    dginv = -np.einsum("km,amn,nl->akl", ginv, dg, ginv)
-    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, s)
-    dgamma = 0.5 * (np.einsum("akl,lij->akij", dginv, s)
-                    + np.einsum("kl,alij->akij", ginv, ds))
-    term1 = np.einsum("kkij->ij", dgamma)
-    term2 = np.einsum("jkki->ij", dgamma)
-    contracted = np.einsum("kkl->l", gamma)
-    term3 = np.einsum("l,lij->ij", contracted, gamma)
-    term4 = np.einsum("rjl,lri->ij", gamma, gamma)
-    ric = term1 - term2 + term3 - term4
-    return 0.5 * (ric + ric.T)
+    def step(plus, minus=()):
+        plus = [p for p in plus if None not in p]
+        minus = [p for p in minus if None not in p]
+        for p in list(minus):  # drop terms that cancel identically
+            if p in plus:
+                plus.remove(p)
+                minus.remove(p)
+        if plus or minus:
+            program.append((plus, minus))
+            return size + len(program) - 1
+
+    # Gauss-Jordan on [g | 1] down the diagonal (g is positive definite);
+    # the structural zeros stay None, so g^-1 keeps the blocks of g
+    rows = [[at.get((k, l)) for l in range(dim)] + [0 if k == l else None for l in range(dim)]
+            for k in range(dim)]
+    for c, pivot in enumerate(rows):
+        r = size + len(program)
+        program.append((None, pivot[c]))
+        pivot[:] = [step([(r, e)]) for e in pivot]
+        for row in rows:
+            if row is not pivot and row[c] is not None:
+                row[:] = [v if u is None else step([(0, v)], [(row[c], u)])
+                          for v, u in zip(row, pivot)]
+    ginv = {(k, l): rows[min(k, l)][dim + max(k, l)] for k in range(dim) for l in range(dim)}
+
+    def derivative(p, q, c, a=None):
+        """Tape index of d_c g_pq, or of d_a d_c g_pq; None where it is zero."""
+        if c in slot and (p, q) in at:
+            return at[p, q] + (1 + slot[c] if a is None else 3 + a + slot[c])
+
+    def raised(k, i, j, a=None):
+        """The products (plus, minus) of g^kl S_lij, or of g^kl d_a S_lij."""
+        plus, minus = [], []
+        for l in range(dim):
+            plus += [(ginv[k, l], derivative(l, j, i, a)), (ginv[k, l], derivative(l, i, j, a))]
+            minus.append((ginv[k, l], derivative(i, j, l, a)))
+        return plus, minus
+
+    upper = [(i, j) for i in range(dim) for j in range(i, dim)]
+    gamma = {}
+    for i, j in upper:
+        for k in range(dim):
+            gamma[k, i, j] = gamma[k, j, i] = step(*raised(k, i, j))
+    M = {(a, k, m): step([(ginv[k, l], derivative(l, m, s)) for l in range(dim)])
+         for a, s in enumerate(slots) for k in range(dim) for m in range(dim)}
+    w = [step([(0, M[a, k, k]) for a, s in enumerate(slots) if s == m for k in range(dim)],
+              [(1, M[a, s, m]) for a, s in enumerate(slots)])
+         for m in range(dim)]
+    ricci = [[None] * dim for _ in range(dim)]
+    for i, j in upper:
+        (p0, m0), (p1, m1) = (raised(s, i, j, a) for a, s in enumerate(slots))
+        plus, minus = p0 + p1, m0 + m1
+        if i in slot and j in slot:
+            a, b = slot[i], slot[j]
+            minus += [(ginv[k, l], derivative(l, k, j, a)) for k in range(dim) for l in range(dim)]
+            plus += [(M[a, k, m], M[b, m, k]) for k in range(dim) for m in range(dim)]
+        ricci[i][j] = ricci[j][i] = step(
+            [(1, step(plus, minus))] + [(w[m], gamma[m, i, j]) for m in range(dim)],
+            [(gamma[k, j, l], gamma[l, i, k]) for k in range(dim) for l in range(dim)])
+    return program, ricci
+
+
+def ricci_from_jets(components: dict, dim: int, slots: tuple[int, int]):
+    """Ricci tensor, a dim x dim tuple of tuples, from the second-order jets
+    of the metric components.
+
+    components maps (i, j), i <= j, to a Jet or a plain number; the two jet
+    variables are the coordinates slots[0] and slots[1], and no component
+    depends on any other coordinate.  The zero pattern of g is read from
+    the keys and its program (_ricci_plan) is built once.  Only + - * /
+    touch the entries: float jets give floats, Fraction jets exact Fractions.
+    """
+    program, ricci = _ricci_plan(tuple(components), dim, tuple(slots))
+    t = [1, 2]
+    for c in components.values():
+        if not isinstance(c, Jet):
+            c = Jet(c, (c * 0,) * 2, (c * 0,) * 3)
+        t += (c.v, *c.d, *c.h)
+    zero = t[2] * 0
+    for plus, minus in program:
+        if plus is None:
+            t.append(1 / t[minus])
+            continue
+        s = zero
+        for a, b in plus:
+            s += t[a] * t[b]
+        for a, b in minus:
+            s -= t[a] * t[b]
+        t.append(s)
+    return tuple(tuple(zero if e is None else t[e] / 4 for e in row) for row in ricci)
 
 
 def ricci_fd(Y: YpqParams, x: ChartPoint):
@@ -307,54 +374,56 @@ def ricci_fd(Y: YpqParams, x: ChartPoint):
 
     The derivatives dg and ddg are exact second-order jets of the metric
     components in (theta, y), the only coordinates the metric reads, so
-    there is no step size and no truncation error.
+    there is no step size and no truncation error.  The name predates the
+    jets; it stays because the benchmark's tracer wraps this function.
     """
     return ricci_from_jets(metric_jets(Y, x), 5, (0, 2))
 
 
+def _quadratic(v, m) -> float:
+    """v^T m v."""
+    s = 0.0
+    for vi, row in zip(v, m):
+        for vj, mij in zip(v, row):
+            s += vi * mij * vj
+    return s
+
+
 def einstein_residual(Y: YpqParams, x: ChartPoint) -> float:
     """max |Ric - 4 g| entrywise (the Einstein constant is 2(n-1) = 4)."""
-    ric = ricci_fd(Y, x)
-    return float(abs(ric - 4.0 * metric_eval(Y, x)).max())
+    pairs = zip(ricci_fd(Y, x), metric_eval(Y, x))
+    return max(abs(r - 4.0 * v) for rr, gr in pairs for r, v in zip(rr, gr))
 
 
 def metric_scale(Y: YpqParams, x: ChartPoint) -> float:
     """max(1, max_ij |g_ij|) at x: the entries of g grow with p, so the
     Einstein residual there is held to a bound relative to this."""
-    return max(1.0, float(abs(metric_eval(Y, x)).max()))
+    return max(1.0, *(abs(v) for row in metric_eval(Y, x) for v in row))
 
 
 def killing_residual(Y: YpqParams, x: ChartPoint) -> float:
     """max |L_xi g|: the Reeb field has constant components, so this is
-    xi^a d_a g_{ij} by central differences (step 1e-4) along psi and alpha.
+    xi^a d_a g_{ij}, the central difference (step 1e-4) of the components
+    at x moved along xi, that is along psi and alpha.
 
-    It is 0.0 by construction, because metric_eval never reads phi, psi
+    It is 0.0 by construction, because _components never reads phi, psi
     or alpha: the check guards that the chart keeps that form.
     """
     h = 1e-4
-    fn = _metric_fn(Y)
-    coords = x.coords()
-    lie = 0.0
-    for a, comp in enumerate(REEB_COMPONENTS):
-        if comp == 0.0:
-            continue
-        xp, xm = coords.copy(), coords.copy()
-        xp[a] += h
-        xm[a] -= h
-        lie = lie + comp * (fn(xp) - fn(xm)) / (2.0 * h)
-    return float(abs(lie).max())
+    along = [(f.name, c * h) for f, c in zip(fields(ChartPoint), REEB_COMPONENTS) if c]
+    up, down = (_float_components(Y, replace(x, **{n: getattr(x, n) + s * d for n, d in along}))
+                for s in (1, -1))
+    return max(abs(v - down[key]) / (2.0 * h) for key, v in up.items())
 
 
 def reeb_norm_residual(Y: YpqParams, x: ChartPoint) -> float:
     """|g(xi, xi) - 1|: the contact form eta = g(xi, .) must give eta(xi) = 1."""
-    g = metric_eval(Y, x)
-    return abs(float(REEB_COMPONENTS @ g @ REEB_COMPONENTS) - 1.0)
+    return abs(_quadratic(REEB_COMPONENTS, metric_eval(Y, x)) - 1.0)
 
 
 def ricci_reeb_residual(Y: YpqParams, x: ChartPoint) -> float:
     """|Ric(xi, xi) - 4|, checked independently of the full Einstein test."""
-    ric = ricci_fd(Y, x)
-    return abs(float(REEB_COMPONENTS @ ric @ REEB_COMPONENTS) - 4.0)
+    return abs(_quadratic(REEB_COMPONENTS, ricci_fd(Y, x)) - 4.0)
 
 
 def random_chart_points(Y: YpqParams, count: int, rng) -> list[ChartPoint]:

@@ -8,7 +8,8 @@ arithmetic instead of scaled-integer counting, the integer-relation
 search on its whole grid at once instead of block by block, and the
 Boyer-Galicki-Kollar and Ghigi-Kollar inequalities in Fractions instead
 of integers cleared of the denominator lcm(a), the Ricci tensor by
-central finite differences of the metric instead of exact jets, and n = 3
+central finite differences of the metric instead of exact jets, the jet
+Ricci tensor by dense numpy contractions instead of a sparse program, and n = 3
 toric volumes and their slice gradients by the Martelli-Sparks-Yau formula
 over consecutive normals instead of rays and a triangulation, and integer
 kernels from the column transform of a Smith form instead of one Hermite
@@ -22,6 +23,7 @@ from math import gcd, lcm, prod
 import numpy as np
 
 from reebmin import latcore
+from reebmin.ypq import Jet
 
 
 def alexander_invariants(a):
@@ -148,6 +150,44 @@ def ricci_fd_metric(metric, x, h):
         xp[a] += h
         xm[a] -= h
         dgamma[a] = (christoffel_fd(metric, xp, h) - christoffel_fd(metric, xm, h)) / (2.0 * h)
+    term1 = np.einsum("kkij->ij", dgamma)
+    term2 = np.einsum("jkki->ij", dgamma)
+    contracted = np.einsum("kkl->l", gamma)
+    term3 = np.einsum("l,lij->ij", contracted, gamma)
+    term4 = np.einsum("rjl,lri->ij", gamma, gamma)
+    ric = term1 - term2 + term3 - term4
+    return 0.5 * (ric + ric.T)
+
+
+def ricci_from_jets_dense(components: dict, dim: int, slots: tuple[int, int]):
+    """Ricci tensor, a dim x dim numpy array, from the second-order jets of
+    the metric components.
+
+    components maps (i, j), i <= j, to a Jet or a float; the two jet
+    variables are the coordinates slots[0] and slots[1], and no component
+    depends on any other coordinate.  Gamma comes from g^-1 and dg, dGamma
+    from d(g^-1) = -g^-1 (dg) g^-1, all exact up to rounding.
+    """
+    g = np.zeros((dim, dim))
+    dg = np.zeros((dim, dim, dim))             # dg[l, i, j] = d_l g_ij
+    ddg = np.zeros((dim, dim, dim, dim))       # ddg[a, l, i, j] = d_a d_l g_ij
+    s0, s1 = slots
+    for (i, j), t in components.items():
+        if not isinstance(t, Jet):
+            t = Jet(t)
+        for (k, l) in ((i, j), (j, i)):
+            g[k, l] = t.v
+            dg[s0, k, l], dg[s1, k, l] = t.d
+            ddg[s0, s0, k, l], ddg[s0, s1, k, l], ddg[s1, s1, k, l] = t.h
+            ddg[s1, s0, k, l] = t.h[1]
+    ginv = np.linalg.inv(g)
+    # S[l,i,j] = d_i g_{lj} + d_j g_{li} - d_l g_{ij}, and its derivatives
+    s = np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg) - dg
+    ds = np.einsum("ailj->alij", ddg) + np.einsum("ajli->alij", ddg) - ddg
+    dginv = -np.einsum("km,amn,nl->akl", ginv, dg, ginv)
+    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, s)
+    dgamma = 0.5 * (np.einsum("akl,lij->akij", dginv, s)
+                    + np.einsum("kl,alij->akij", ginv, ds))
     term1 = np.einsum("kkij->ij", dgamma)
     term2 = np.einsum("jkki->ij", dgamma)
     contracted = np.einsum("kkl->l", gamma)

@@ -175,7 +175,8 @@ def test_ypq_einstein_fails_a_perturbed_ricci(p, monkeypatch):
     from reebmin import ypq
 
     ricci = ypq.ricci_fd
-    monkeypatch.setattr(ypq, "ricci_fd", lambda Y, x: ricci(Y, x) * (1.0 + 1e-6))
+    monkeypatch.setattr(ypq, "ricci_fd", lambda Y, x: tuple(
+        tuple(v * (1.0 + 1e-6) for v in row) for row in ricci(Y, x)))
     spec = {"command": "ypq",
             "payload": {"p": p, "q": 1, "check_einstein": True, "samples": 20}}
     report = cli.run(spec)
@@ -322,6 +323,18 @@ def test_batch_rejects_bad_enumerate_payloads(tmp_path, capsys):
     assert reports[6]["results"]["values"] == [5, 6, 7, 8]
 
 
+def test_link_enumerate_caps_the_width_of_its_range(monkeypatch):
+    # a JSON Schema cannot bound hi - lo; no verdict may run either way
+    from reebmin import links
+
+    monkeypatch.setattr(links, "enumerate_family", lambda template, values, pred: [])
+    payload = {"template": [2, 3, 5, None], "range": [1, cli.MAX_RANGE_WIDTH]}
+    assert cli.run({"command": "link-enumerate", "payload": payload})["results"]["count"] == 0
+    for bounds in ([0, cli.MAX_RANGE_WIDTH], [1, 10**9]):
+        with pytest.raises(SchemaError, match="'range'"):
+            cli.run({"command": "link-enumerate", "payload": dict(payload, range=bounds)})
+
+
 def test_batch_rejects_bad_ypq_and_gale_dual_payloads(capsys):
     code = cli.main(["batch", str(BAD_PAYLOADS)])
     reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -458,6 +471,7 @@ NUMPY_FREE_SPECS = [
     {"command": "obstruct-hs", "payload": {"weights": [21, 21, 21, 2], "degree": 42}},
     {"command": "join", "payload": {"ord": [1, 1], "index": [2, 2], "n": [2, 2]}},
     {"command": "ypq", "payload": {"p": 2, "q": 1}},
+    {"command": "ypq", "payload": {"p": 3, "q": 1, "check_einstein": True, "samples": 4, "seed": 5}},
     {"command": "labc", "payload": {"a": 1, "b": 3, "c": 2, "to_cone": True}},
     {"command": "gale-dual", "payload": {"charges": [[2, 2, -1, -3]]}},
     {"command": "cone-topology", "payload": CONIFOLD_PAYLOAD},
@@ -489,9 +503,10 @@ def test_numpy_stays_off_the_start_up_path():
 
 
 def test_array_paths_keep_their_reports():
-    # an irregular minimizer (rank estimate) and the Einstein check still
-    # load numpy; their reports are pinned to the bits the LAPACK solve gave.
-    # Y^{3,1} is irregular of rank 2: only sqrt(4p^2 - 3q^2) enters xi
+    # the rank estimate of an irregular minimizer still loads numpy; its
+    # report is pinned to the bits the LAPACK solve gave, and the Einstein
+    # report to those of the sparse Ricci program.  Y^{3,1} is irregular of
+    # rank 2: only sqrt(4p^2 - 3q^2) enters xi
     y31 = {"n": 3, "normals": [[1, 0, 0], [1, 1, 0], [1, 3, 3], [1, 1, 2]]}
     report = cli.run({"command": "cone-minimize", "payload": {"cone": y31}})
     assert report["results"] == {
@@ -512,8 +527,8 @@ def test_array_paths_keep_their_reports():
         "einstein": {
             "eta_max": 2.220446049250313e-16,
             "killing_max": 0.0,
-            "max_residual": 1.0658141036401503e-14,
-            "mean_residual": 6.217248937900877e-15,
+            "max_residual": 8.881784197001252e-15,
+            "mean_residual": 3.9968028886505635e-15,
             "pass": True,
             "samples": 4,
             "seed": 5,

@@ -8,7 +8,7 @@ import pytest
 from reebmin import cones as cn
 from reebmin import latcore as lc
 from reebmin import reebvol as rv
-from reebmin.errors import BoundaryPoint, NotGorenstein, NotQGorenstein, ReebNotInterior
+from reebmin.errors import NotGorenstein, NotQGorenstein, ReebNotInterior
 
 import cone_suite
 import oracles
@@ -31,13 +31,6 @@ def random_interior_xi(cone, rng, on_slice=True):
             return xi
         except ReebNotInterior:
             continue
-
-
-def random_interior_y(cone, rng):
-    rays = cn.extreme_rays(cone)
-    n = cone.n
-    coeffs = [rng.uniform(0.2, 1.5) for _ in rays]
-    return [sum(c * r[i] for c, r in zip(coeffs, rays)) for i in range(n)]
 
 
 # --- polytopes and volumes ---------------------------------------------------
@@ -490,39 +483,6 @@ def test_certified_minimizers_are_msy_critical():
         assert all(x == 0 for x in oracles.msy_slice_gradient(cyclic, res.xi_star_exact)), name
         assert oracles.msy_volume(cyclic, res.xi_star_exact) == res.normalized_volume_exact
     assert certified >= 5
-
-
-# --- canonical metric --------------------------------------------------------
-
-
-def test_canonical_metric_quadrant():
-    quad = cn.validate_cone([(1, 0), (0, 1)])
-    rep = rv.canonical_metric_eval(quad, (1.0, 1.0), (1.0, 1.0))
-    assert rep.positive_definite
-    assert rep.reeb_residual <= 1e-12
-    assert np.allclose(rep.g_sympl, 0.5 * np.eye(2))
-    assert rep.reeb_reconstructed == pytest.approx((1.0, 1.0))
-    assert rep.ok
-
-
-def test_canonical_metric_conifold_random_points():
-    rng = random.Random(9)
-    xi = (3.0, 1.5, 1.5)
-    for _ in range(10):
-        y = random_interior_y(CONIFOLD, rng)
-        rep = rv.canonical_metric_eval(CONIFOLD, xi, y)
-        assert rep.positive_definite
-        assert rep.reeb_residual <= 1e-9
-        assert rep.homogeneity_residual <= 1e-9
-        n = CONIFOLD.n
-        assert np.allclose(
-            rep.block_metric[:n, :n] @ rep.block_metric[n:, n:], np.eye(n)
-        )
-
-
-def test_canonical_metric_boundary_point():
-    with pytest.raises(BoundaryPoint):
-        rv.canonical_metric_eval(CONIFOLD, (3.0, 1.5, 1.5), (0.0, 0.0, 1.0))
 
 
 def test_integer_relation_matches_full_grid():

@@ -59,7 +59,7 @@ def test_metric_positive_definite_and_reeb_unit():
     for (p, q) in ((2, 1), (3, 1), (3, 2)):
         Y = ypq.ypq_params(p, q)
         for x in ypq.random_chart_points(Y, 10, rng):
-            g = ypq.metric_eval(Y, x)
+            g = np.array(ypq.metric_eval(Y, x))
             assert np.allclose(g, g.T)
             assert np.linalg.eigvalsh(g)[0] > 0
             assert ypq.reeb_norm_residual(Y, x) <= 1e-12
@@ -90,7 +90,12 @@ def round_s3(c):
 
 
 def chart_metric(Y):
-    return lambda c: ypq.metric_eval(Y, ypq.ChartPoint(*c))
+    return lambda c: np.array(ypq.metric_eval(Y, ypq.ChartPoint(*c)))
+
+
+def coords(x):
+    """The coordinates of a chart point as a numpy vector."""
+    return np.array([x.theta, x.phi, x.y, x.psi, x.alpha])
 
 
 def test_fd_engine_flat_product_metric():
@@ -118,6 +123,41 @@ def test_jet_ricci_round_s3():
     ric = ypq.ricci_from_jets({(0, 0): 1.0, (1, 1): s * s, (2, 2): c * c}, 3, (0, 2))
     x = np.array([0.7, 0.2, 0.9])
     assert np.max(np.abs(ric - 2.0 * round_s3(x))) <= 1e-14
+
+
+def test_jet_ricci_is_exact_on_fraction_jets():
+    # upper half-space H^3, g = delta / z^2 at z = 3: Ric = -2 g
+    z = F(3)
+    g = ypq.Jet(1 / z**2, (F(0), -2 / z**3), (F(0), F(0), 6 / z**4))
+    ric = ypq.ricci_from_jets({(0, 0): g, (1, 1): g, (2, 2): g}, 3, (0, 2))
+    assert ric == tuple(tuple(-2 * g.v if i == j else 0 for j in range(3)) for i in range(3))
+    assert all(type(v) is F for row in ric for v in row)
+    # the flat plane in polar coordinates, g = diag(1, r^2), at r = 3/2
+    r2 = ypq.Jet(F(9, 4), (F(3), F(0)), (F(2), F(0), F(0)))
+    ric = ypq.ricci_from_jets({(0, 0): F(1), (1, 1): r2}, 2, (0, 1))
+    assert ric == ((0, 0), (0, 0))
+    assert all(type(v) is F for row in ric for v in row)
+
+
+def dense_cases():
+    # the eight (p, q) of test_einstein_residual_small, the flat product
+    # metric and the round S^3, as (components, dim, slots, scale)
+    for (p, q) in EINSTEIN_PQ:
+        Y = ypq.ypq_params(p, q)
+        for x in ypq.random_chart_points(Y, 25, random.Random(7 * p + q)):
+            yield ypq.metric_jets(Y, x), 5, (0, 2), ypq.metric_scale(Y, x)
+    r = ypq.Jet(1.2, (1.0, 0.0))
+    yield {(0, 0): 1.0, (1, 1): r * r, (2, 2): 1.0, (3, 3): 1.0, (4, 4): 1.0}, 5, (0, 1), 1.44
+    eta = ypq.Jet(0.7, (1.0, 0.0))
+    s, c = eta.sin(), eta.cos()
+    yield {(0, 0): 1.0, (1, 1): s * s, (2, 2): c * c}, 3, (0, 2), 1.0
+
+
+def test_sparse_ricci_matches_the_dense_oracle():
+    for comps, dim, slots, scale in dense_cases():
+        dense = oracles.ricci_from_jets_dense(comps, dim, slots)
+        sparse = ypq.ricci_from_jets(comps, dim, slots)
+        assert np.max(np.abs(np.array(sparse) - dense)) <= 1e-12 * scale
 
 
 def jet_probe(t, y, ct, st):
@@ -156,11 +196,14 @@ def test_jet_metric_values_match_metric_eval_bitwise():
             for i in range(5):
                 for j in range(i, 5):
                     v = comps[(i, j)].v if (i, j) in comps else 0.0
-                    assert v == g[i, j] == g[j, i]
+                    assert v == g[i][j] == g[j][i]
+
+
+EINSTEIN_PQ = ((2, 1), (3, 1), (3, 2), (6, 1), (8, 1), (10, 3), (12, 11), (20, 1))
 
 
 def test_einstein_residual_small():
-    for (p, q) in ((2, 1), (3, 1), (3, 2), (6, 1), (8, 1), (10, 3), (12, 11), (20, 1)):
+    for (p, q) in EINSTEIN_PQ:
         Y = ypq.ypq_params(p, q)
         for x in ypq.random_chart_points(Y, 250, random.Random(1000 * p + q)):
             assert ypq.einstein_residual(Y, x) <= 1e-9, (p, q, x)
@@ -171,8 +214,8 @@ def test_jet_ricci_agrees_with_fd_oracle(p, q):
     # FD with one Richardson level is accurate to about 1e-6 where q/p >= 2/3
     Y = ypq.ypq_params(p, q)
     for x in ypq.random_chart_points(Y, 5, random.Random(45)):
-        coarse = oracles.ricci_fd_metric(chart_metric(Y), x.coords(), 1e-3)
-        fine = oracles.ricci_fd_metric(chart_metric(Y), x.coords(), 5e-4)
+        coarse = oracles.ricci_fd_metric(chart_metric(Y), coords(x), 1e-3)
+        fine = oracles.ricci_fd_metric(chart_metric(Y), coords(x), 5e-4)
         fd = (4.0 * fine - coarse) / 3.0
         assert np.max(np.abs(ypq.ricci_fd(Y, x) - fd)) <= 1e-4
 
@@ -180,9 +223,9 @@ def test_jet_ricci_agrees_with_fd_oracle(p, q):
 def test_fd_convergence_is_second_order():
     Y = ypq.ypq_params(2, 1)
     x = ypq.ChartPoint(1.1, 0.5, 0.1, 0.3, 0.2)
-    g4 = 4.0 * ypq.metric_eval(Y, x)
-    coarse = np.max(np.abs(oracles.ricci_fd_metric(chart_metric(Y), x.coords(), 4e-3) - g4))
-    fine = np.max(np.abs(oracles.ricci_fd_metric(chart_metric(Y), x.coords(), 2e-3) - g4))
+    g4 = 4.0 * np.array(ypq.metric_eval(Y, x))
+    coarse = np.max(np.abs(oracles.ricci_fd_metric(chart_metric(Y), coords(x), 4e-3) - g4))
+    fine = np.max(np.abs(oracles.ricci_fd_metric(chart_metric(Y), coords(x), 2e-3) - g4))
     assert 2.5 <= coarse / fine <= 6.0
 
 
