@@ -16,6 +16,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from math import comb
 
 from . import __version__, cones, latcore, links, obstruct, reebvol, ypq
 from .errors import ReebminError, SchemaError
@@ -23,6 +24,9 @@ from .errors import ReebminError, SchemaError
 # the most work one payload may ask for: Einstein points, link-enumerate values
 MAX_SAMPLES = 10_000
 MAX_RANGE_WIDTH = 100_000
+# and multiplications in the ray enumeration of a cone: C(d, n-1) candidate
+# rays, each n signed minors of size n-1 (about n^3 each) and d pairings
+MAX_CONE_WORK = 10_000_000
 
 
 def _jsonable(x):
@@ -89,6 +93,13 @@ def _cone_payload(payload) -> cones.MomentCone:
     n = data.get("n")
     if "n" in data and not (_is_int(n) and all(len(v) == n for v in normals)):
         raise SchemaError("field 'n' must be an integer, the length of every normal")
+    d = len(normals)
+    n = len(normals[0]) if normals else 0
+    if n and comb(d, n - 1) * n * (d + n**3) > MAX_CONE_WORK:
+        raise SchemaError(
+            f"a cone with d = {d} normals in n = {n} dimensions is too large: "
+            f"C(d, n-1) n (d + n^3) may be at most {MAX_CONE_WORK}"
+        )
     return cones.validate_cone(normals)
 
 

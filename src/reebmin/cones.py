@@ -7,9 +7,21 @@ enumeration, redundancy elimination and the Gorenstein basis change run
 on integers only.
 
 Rays come from signed (n-1)-minors of the normals (generalised cross
-products).  Redundancy is read off the ray/normal incidences in one pass,
-as in the double description method: a normal carves a facet iff it is
-not repeated and the rays it vanishes on have rank n-1.
+products); for n = 3 that is the cross product of two normals, written
+out as its three 2x2 minors.  Redundancy is read off the ray/normal
+incidences in one pass, as in the double description method: a normal
+carves a facet iff it is not repeated and the rays it vanishes on have
+rank n-1.
+
+Below rank 3 a rank is a count.  A pointed cone of dimension k <= 2 has
+exactly k extreme rays, and two distinct primitive rays of a pointed cone
+are linearly independent (the only primitive multiples of r are r and -r,
+and a pointed cone never holds both).  The rays a normal vanishes on are
+those of a face of dimension at most n-1.  So for n <= 3 the cone is
+full-dimensional iff it has at least n rays, and a normal carves a facet
+iff it vanishes on at least n-1 of them; the pulling triangulation reads
+the facets of a k-face, k <= 3, off the same count.  Bareiss rank runs
+only for n >= 4.
 """
 
 from __future__ import annotations
@@ -18,6 +30,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from math import gcd
 
 from . import latcore
 from .errors import (
@@ -105,6 +118,9 @@ def _cross(rows, n):
     is orthogonal to every row and is zero exactly when the rows have rank
     below n-1.
     """
+    if n == 3:
+        (a, b, c), (d, e, f) = rows
+        return (b * f - c * e, c * d - a * f, a * e - b * d)
     return tuple(
         (-1) ** j * latcore.int_det([row[:j] + row[j + 1:] for row in rows])
         for j in range(n)
@@ -123,24 +139,30 @@ def _extreme_rays_pointed(ineqs, n):
     seen = set()
     rays = set()
     for subset in itertools.combinations(ineqs, n - 1):
-        z = _cross([list(w) for w in subset], n)
-        if not any(z):
+        z = _cross(subset, n)
+        g = gcd(*z)
+        if not g:
             continue
-        z = latcore.primitivize(z)
         # one sign per line, so a line cut out by several subsets is tested once
         if next(x for x in z if x) < 0:
-            z = tuple(-x for x in z)
+            g = -g
+        z = tuple(x // g for x in z)
         if z in seen:
             continue
         seen.add(z)
-        lo = hi = 0
+        neg = pos = False
         for w in ineqs:
             p = dot(z, w)
-            lo, hi = min(lo, p), max(hi, p)
-            if lo < 0 < hi:
+            if p < 0:
+                neg = True
+            elif p > 0:
+                pos = True
+            else:
+                continue
+            if neg and pos:
                 break
         else:
-            rays.add(z if lo == 0 else tuple(-x for x in z))
+            rays.add(tuple(-x for x in z) if neg else z)
     return tuple(sorted(rays))
 
 
@@ -167,12 +189,12 @@ def validate_cone(normals) -> MomentCone:
     if latcore.rank(vs) < n:
         raise NotStrictlyConvex("normals do not span; the cone contains a line")
     rays = _extreme_rays_pointed(vs, n)
-    if not rays or latcore.rank(rays) < n:
+    if len(rays) < n or n > 3 and latcore.rank(rays) < n:
         raise NotStrictlyConvex("empty interior: the cone is not full-dimensional")
     counts = Counter(vs)
     for i, v in enumerate(vs):
         tight = [r for r in rays if dot(r, v) == 0]
-        if counts[v] > 1 or latcore.rank(tight) < n - 1:
+        if counts[v] > 1 or len(tight) < n - 1 or n > 3 and latcore.rank(tight) < n - 1:
             raise RedundantNormal(i)
     return MomentCone(n=n, normals=tuple(vs), rays=rays)
 
@@ -206,10 +228,14 @@ def triangulation(cone: MomentCone) -> tuple[tuple[int, ...], ...]:
 
 def _pulling_triangulation(rays, normals, n):
     def face_facets(face, k):
+        # sub holds the rays of a proper face, of dimension at most k-1, so
+        # for k <= 3 it has rank k-1 iff it holds at least k-1 rays
         found = set()
         for v in normals:
             sub = tuple(j for j in face if dot(rays[j], v) == 0)
-            if sub and sub != face and latcore.rank([rays[j] for j in sub]) == k - 1:
+            if len(sub) < k - 1 or sub == face:
+                continue
+            if k <= 3 or latcore.rank([rays[j] for j in sub]) == k - 1:
                 found.add(sub)
         return found
 

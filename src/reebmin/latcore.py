@@ -2,16 +2,18 @@
 
 Matrices are plain lists of lists of Python ints (arbitrary precision),
 vectors are lists or tuples of ints.  Nothing here ever rounds or leaves
-ZZ: determinants and ranks come from fraction-free (Bareiss) elimination,
-inverses from adjugates, kernels from one Hermite form, and the Smith
-form serves only where its factors are read.  Sizes are desk-scale (at
-most a dozen rows/columns), so the classical algorithms are used
-throughout; no modular or sparse tricks.
+ZZ: 2x2 and 3x3 determinants are closed forms, larger determinants and
+ranks come from fraction-free (Bareiss) elimination, inverses from
+adjugates, kernels from one Hermite form, and the Smith form serves only
+where its factors are read.  Sizes are desk-scale (at most a dozen
+rows/columns), so the classical algorithms are used throughout; no
+modular or sparse tricks.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 from .errors import RankError
@@ -35,23 +37,8 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def vec_gcd(v: IntVector) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
-
-
 def is_primitive(v: IntVector) -> bool:
-    return vec_gcd(v) == 1
-
-
-def primitivize(v: IntVector) -> tuple[int, ...]:
-    """Divide out the content; the zero vector is returned unchanged."""
-    g = vec_gcd(v)
-    if g <= 1:
-        return tuple(int(x) for x in v)
-    return tuple(int(x) // g for x in v)
+    return gcd(*v) == 1
 
 
 def identity(n: int) -> list[list[int]]:
@@ -67,19 +54,27 @@ def matmul(A, B) -> list[list]:
     return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
 
 
+# sum(map(mul, ..)) adds the products left to right, as a generator sum
+# would, so float callers get the same bits
 def matvec(A, x) -> list:
-    return [sum(a * b for a, b in zip(row, x)) for row in A]
+    return [sum(map(mul, row, x)) for row in A]
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def int_det(M: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant: closed forms up to 3x3, else Bareiss elimination."""
     n = len(M)
     if n == 0:
         return 1
+    if n == 2:
+        (a, b), (c, d) = M
+        return a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = M
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     A = [[int(x) for x in row] for row in M]
     sign = 1
     prev = 1

@@ -84,7 +84,10 @@ class YpqParams:
 def ypq_params(p: int, q: int) -> YpqParams:
     _check_pq(p, q)
     a_ex = apq(p, q)
-    a = float(a_ex)
+    try:
+        a = float(a_ex)
+    except OverflowError:
+        raise BadParams("p is too large: a_(p,q) overflows a float") from None
     if not 0.0 < a < 1.0:
         raise BadParams(f"a_(p,q) = {a} outside (0, 1)")
     y1, y2, y3 = _cubic_roots(a)

@@ -11,18 +11,23 @@ of integers cleared of the denominator lcm(a), the Ricci tensor by
 central finite differences of the metric instead of exact jets, the jet
 Ricci tensor by dense numpy contractions instead of a sparse program, and n = 3
 toric volumes and their slice gradients by the Martelli-Sparks-Yau formula
-over consecutive normals instead of rays and a triangulation, and integer
+over consecutive normals instead of rays and a triangulation, integer
 kernels from the column transform of a Smith form instead of one Hermite
-form of [M^T | I].
+form of [M^T | I], determinants by the Leibniz expansion instead of
+closed forms and elimination, and cone validation by the general
+signed-minor enumerator with a rank test for every normal instead of the
+n = 3 cross product and incidence counts.
 """
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import gcd, lcm, prod
 
 import numpy as np
 
 from reebmin import latcore
+from reebmin.errors import NonPrimitive, NotStrictlyConvex, RedundantNormal
 from reebmin.ypq import Jet
 
 
@@ -246,6 +251,12 @@ def has_integer_relation_full_grid(b, x, bound=512, tol=1e-7):
     return bool((resid <= tol * scale).any())
 
 
+def primitive(v):
+    """v divided by the gcd of its entries; the zero vector unchanged."""
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
+
+
 def _cross3(u, v):
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
@@ -306,3 +317,72 @@ def integer_kernel_by_smith(M):
     if not basis:
         return []
     return latcore.hermite_normal_form(basis)
+
+
+def leibniz_det(M):
+    """det M as the signed sum over all permutations."""
+    n = len(M)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        total += (-1) ** inversions * prod(M[i][perm[i]] for i in range(n))
+    return total
+
+
+def _cross_by_minors(rows, n):
+    return tuple(
+        (-1) ** j * leibniz_det([row[:j] + row[j + 1:] for row in rows])
+        for j in range(n)
+    )
+
+
+def _extreme_rays_by_minors(ineqs, n):
+    ineqs = [tuple(w) for w in ineqs]
+    seen = set()
+    rays = set()
+    for subset in combinations(ineqs, n - 1):
+        z = _cross_by_minors([list(w) for w in subset], n)
+        if not any(z):
+            continue
+        z = primitive(z)
+        # one sign per line, so a line cut out by several subsets is tested once
+        if next(x for x in z if x) < 0:
+            z = tuple(-x for x in z)
+        if z in seen:
+            continue
+        seen.add(z)
+        lo = hi = 0
+        for w in ineqs:
+            p = _dot(z, w)
+            lo, hi = min(lo, p), max(hi, p)
+            if lo < 0 < hi:
+                break
+        else:
+            rays.add(z if lo == 0 else tuple(-x for x in z))
+    return tuple(sorted(rays))
+
+
+def validate_cone_by_minors(normals):
+    """The rays of the cone the normals cut out, or the error validate_cone
+    raises: the general signed-minor enumerator for every n, and a rank
+    test of the tight rays of every normal."""
+    vs = [tuple(int(x) for x in v) for v in normals]
+    if not vs:
+        raise NotStrictlyConvex("no normals given")
+    n = len(vs[0])
+    if any(len(v) != n for v in vs):
+        raise ValueError("normals of mixed dimension")
+    for i, v in enumerate(vs):
+        if not latcore.is_primitive(v):
+            raise NonPrimitive(i)
+    if latcore.rank(vs) < n:
+        raise NotStrictlyConvex("normals do not span; the cone contains a line")
+    rays = _extreme_rays_by_minors(vs, n)
+    if not rays or latcore.rank(rays) < n:
+        raise NotStrictlyConvex("empty interior: the cone is not full-dimensional")
+    counts = Counter(vs)
+    for i, v in enumerate(vs):
+        tight = [r for r in rays if _dot(r, v) == 0]
+        if counts[v] > 1 or latcore.rank(tight) < n - 1:
+            raise RedundantNormal(i)
+    return rays

@@ -335,6 +335,46 @@ def test_link_enumerate_caps_the_width_of_its_range(monkeypatch):
             cli.run({"command": "link-enumerate", "payload": dict(payload, range=bounds)})
 
 
+def test_cone_work_is_capped_before_any_ray_is_enumerated(tmp_path, capsys, monkeypatch):
+    # a JSON Schema cannot bound C(d, n-1) n (d + n^3); the moment curve at
+    # d = 40, n = 8 asks for C(40, 7) ~ 1.9e7 candidate rays of 8 minors each
+    from reebmin import cones
+
+    def no_enumeration(*args):
+        raise AssertionError("rays were enumerated")
+
+    moment_curve = [[k**i for i in range(8)] for k in range(40)]
+    spec = {"command": "cone-topology", "payload": {"cone": {"n": 8, "normals": moment_curve}}}
+    monkeypatch.setattr(cones, "_extreme_rays_pointed", no_enumeration)
+    for command in ("cone-minimize", "cone-topology"):
+        with pytest.raises(SchemaError, match=f"at most {cli.MAX_CONE_WORK}"):
+            cli.run(dict(spec, command=command))
+    code, reports = _batch(tmp_path, capsys, [spec])
+    assert code == 1 and reports[0]["error"]["code"] == "SchemaError"
+    monkeypatch.undo()
+    # the largest bench cones and the 24-normal parabola are admitted, and
+    # a cone whose work equals the cap is too
+    for normals in ([[1, k, k * k] for k in range(24)], [[1, k, k * k, k**3] for k in range(8)]):
+        payload = {"cone": {"normals": normals}}
+        assert cli.run({"command": "cone-topology", "payload": payload})["results"]["pi2_rank"] > 0
+    parabola = {"cone": {"normals": [[1, k, k * k] for k in range(24)]}}
+    monkeypatch.setattr(cli, "MAX_CONE_WORK", 276 * 3 * (24 + 27))
+    cli.run({"command": "cone-topology", "payload": parabola})
+    monkeypatch.setattr(cli, "MAX_CONE_WORK", 276 * 3 * (24 + 27) - 1)
+    with pytest.raises(SchemaError):
+        cli.run({"command": "cone-topology", "payload": parabola})
+
+
+def test_ypq_with_a_huge_p_is_a_bad_params_line(tmp_path, capsys):
+    # a_(p,q) as a float takes sqrt(4p^2 - 3q^2), which overflows for p ~ 1e400
+    specs = [{"command": "ypq", "payload": {"p": 10**400, "q": 1}},
+             {"command": "ypq", "payload": {"p": 2, "q": 1}}]
+    code, reports = _batch(tmp_path, capsys, specs)
+    assert code == 1
+    assert reports[0]["error"]["code"] == "BadParams"
+    assert reports[1]["results"]["regularity"] == "irregular"
+
+
 def test_batch_rejects_bad_ypq_and_gale_dual_payloads(capsys):
     code = cli.main(["batch", str(BAD_PAYLOADS)])
     reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]

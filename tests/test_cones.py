@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -89,7 +90,7 @@ def test_validate_reports_inserted_implied_normal():
         # the midpoint of two vertices lies on an edge or inside the
         # polygon, so its normal is implied by the others
         a, b = rng.sample(range(len(hull)), 2)
-        implied = lc.primitivize((2, hull[a][0] + hull[b][0], hull[a][1] + hull[b][1]))
+        implied = oracles.primitive((2, hull[a][0] + hull[b][0], hull[a][1] + hull[b][1]))
         pos = rng.randint(0, len(normals))
         normals.insert(pos, implied)
         t = oracles.random_unimodular(3, rng)
@@ -97,6 +98,76 @@ def test_validate_reports_inserted_implied_normal():
         with pytest.raises(RedundantNormal) as err:
             cn.validate_cone(framed)
         assert err.value.index == pos
+
+
+def test_polygon_rays_are_crossings_of_adjacent_normals():
+    # n = 3: a ray of C* is the primitive cross product of two normals that
+    # are adjacent around the polygon, oriented into the cone
+    rng = random.Random(41)
+    for _ in range(60):
+        normals = oracles.cyclic_order([(1, x, y) for x, y in random_lattice_polygon(rng)])
+        t = oracles.random_unimodular(3, rng)
+        framed = [tuple(lc.matvec(t, list(v))) for v in normals]
+        d = len(framed)
+        expected = set()
+        for a in range(d):
+            z = oracles.primitive(oracles._cross3(framed[a], framed[(a + 1) % d]))
+            if oracles._dot(z, framed[(a + 2) % d]) < 0:
+                z = tuple(-x for x in z)
+            expected.add(z)
+        rng.shuffle(framed)
+        assert cn.validate_cone(framed).rays == tuple(sorted(expected)), framed
+
+
+def validation_outcome(validate, normals):
+    try:
+        cone = validate(normals)
+    except (NonPrimitive, RedundantNormal) as err:
+        return type(err).__name__, err.index
+    except NotStrictlyConvex as err:
+        return "NotStrictlyConvex", str(err)
+    return "valid", getattr(cone, "rays", cone)
+
+
+def random_normal_set(rng, n):
+    """Normals of every validation outcome: random small vectors, and valid
+    cones in random frames with a duplicate, an implied normal, a common
+    factor or a lost dimension put in."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(n, n + 3))]
+    if n == 3:
+        base = [(1, x, y) for x, y in random_lattice_polygon(rng)]
+    else:
+        base = [tuple(v) for v in rng.choice(
+            [cone_suite.CONES[k] for k in ("orthant4", "flat4", "y7_3_labc", "y13_7_labc")])]
+        base.append(tuple(rng.randint(-2, 3) for _ in range(n)))
+    t = oracles.random_unimodular(n, rng)
+    vs = [tuple(lc.matvec(t, list(v))) for v in base]
+    i = rng.randrange(len(vs))
+    if kind == 1:
+        vs.insert(rng.randint(0, len(vs)), vs[i])
+    elif kind == 2:
+        j = rng.randrange(len(vs))
+        vs.insert(rng.randint(0, len(vs)), oracles.primitive([a + b for a, b in zip(vs[i], vs[j])]))
+    elif kind == 3:
+        vs[i] = tuple(2 * x for x in vs[i])
+    elif kind == 4:
+        # drop the last coordinate: the normals cannot span
+        vs = [v[:-1] + (0,) for v in vs]
+    return vs
+
+
+@pytest.mark.parametrize("n, trials", [(3, 1500), (4, 250)])
+def test_validate_matches_the_general_minor_enumerator(n, trials):
+    rng = random.Random(53 + n)
+    seen = Counter()
+    for _ in range(trials):
+        vs = random_normal_set(rng, n)
+        got = validation_outcome(cn.validate_cone, vs)
+        assert got == validation_outcome(oracles.validate_cone_by_minors, vs), vs
+        seen[got[0]] += 1
+    assert set(seen) == {"valid", "NonPrimitive", "NotStrictlyConvex", "RedundantNormal"}, seen
 
 
 def test_validate_needs_no_integer_kernel(monkeypatch):

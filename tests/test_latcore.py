@@ -144,7 +144,7 @@ def test_unimodular_completion():
     for _ in range(200):
         n = rng.randint(1, 6)
         v = [rng.randint(-9, 9) for _ in range(n)]
-        v = list(lc.primitivize(v))
+        v = list(oracles.primitive(v))
         if all(x == 0 for x in v):
             continue
         t, t_inv = lc.unimodular_completion(v)
@@ -165,6 +165,32 @@ def test_int_det_matches_fraction_elimination():
         for i in range(n):
             prod_diag *= dd[i][i]
         assert abs(d) == prod_diag
+
+
+def test_int_det_matches_leibniz_beyond_64_bits():
+    # the closed 2x2 and 3x3 forms and Bareiss at 1x1 and 4x4
+    rng = random.Random(29)
+    big = 2**70
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        mat = [[rng.choice([rng.randint(-big, big), rng.randint(-3, 3)]) for _ in range(n)]
+               for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            mat[-1] = [a - 3 * b for a, b in zip(mat[0], mat[1])]  # singular
+        assert lc.int_det(mat) == oracles.leibniz_det(mat), mat
+
+
+def test_dot_and_matvec_keep_the_bits_of_a_generator_sum():
+    # Newton pairs float Reeb vectors with rays through dot, so the order
+    # of the additions must be that of sum(a * b for a, b in zip(u, v))
+    rng = random.Random(31)
+    for _ in range(500):
+        n = rng.randint(1, 6)
+        u = [rng.choice([rng.uniform(-1e3, 1e3), rng.randint(-50, 50)]) for _ in range(n)]
+        rows = [[rng.uniform(-1e-3, 1e16) for _ in range(n)] for _ in range(3)]
+        assert lc.dot(u, rows[0]).hex() == float(sum(a * b for a, b in zip(u, rows[0]))).hex()
+        assert [x.hex() for x in lc.matvec(rows, u)] == [
+            float(sum(a * b for a, b in zip(row, u))).hex() for row in rows]
 
 
 def test_rank_matches_smith_form():
