@@ -163,7 +163,7 @@ def _run_link_enumerate(payload):
     pred_spec = payload.get("predicate")
     if not (pred_spec is None or isinstance(pred_spec, str)):
         raise SchemaError("field 'predicate' must be a string or null")
-    pred = links.parse_predicate(pred_spec) if pred_spec else None
+    pred = None if pred_spec is None else links.parse_predicate(pred_spec)
     hits = links.enumerate_family(template, range(lo, hi + 1), pred)
     return (
         {

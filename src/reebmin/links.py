@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from . import obstruct
 from .errors import NotHomologySphere, UnsupportedDimension
@@ -63,10 +63,6 @@ class BPExponents:
         for i, j in itertools.combinations(range(len(a)), 2):
             rows[i][j] = rows[j][i] = gcd(a[i], a[j])
         return tuple(map(tuple, rows))
-
-    @property
-    def weight_prod(self) -> int:
-        return prod(self.weights)
 
     def hypersurface(self) -> obstruct.WeightedHS:
         return obstruct.WeightedHS(weights=self.weights, degree=self.degree)
@@ -283,8 +279,14 @@ NAMED_PREDICATES = {
 
 
 def parse_predicate(spec: str):
-    """'bgk', 'gk+bgk-fail' (conjunction by '+'), from NAMED_PREDICATES."""
-    parts = [p.strip() for p in spec.split("+") if p.strip()]
+    """'bgk', 'gk+bgk-fail' (conjunction by '+'), from NAMED_PREDICATES.
+
+    Blanks around a name are stripped; an empty part ('', 'bgk+', '+')
+    names nothing and is an error, not a predicate that holds always.
+    """
+    parts = [p.strip() for p in spec.split("+")]
+    if not all(parts):
+        raise ValueError(f"empty part in predicate {spec!r}")
     try:
         preds = [NAMED_PREDICATES[p] for p in parts]
     except KeyError as e:

@@ -221,8 +221,8 @@ class MinimizationResult:
     sasakian_volume: float
     normalized_volume: float
     normalized_volume_exact: Fraction | None
-    regularity: str                 # quasi-regular | irregular | undetermined
-    rank: int | None
+    regularity: str                 # quasi-regular | irregular
+    rank: int                       # 1 when certified, else the lower bound 2
     iterations: int
     gradient_norm: float
 
@@ -392,57 +392,6 @@ def _certify_rational(cone, xi):
     return None
 
 
-def _looks_rational(x, tol=1e-9):
-    # a float of a small-denominator rational gives the same best approximant
-    # at every larger denominator bound; an irrational keeps refining
-    lo = Fraction(x).limit_denominator(10**3)
-    hi = Fraction(x).limit_denominator(10**6)
-    return lo == hi and abs(float(lo) - x) <= tol * max(1.0, abs(x))
-
-
-def _has_integer_relation(b, x, bound=512, tol=1e-7):
-    """Search m0 + m1*b + m2*x = 0 with small integers, m2 >= 1.
-
-    Scans m2 in blocks of 16 values against every m1 in [-bound, bound]
-    and stops at the first block with a hit; most pairs have one at
-    m2 <= 16.  Each grid element is the same float expression as in a
-    full-grid scan, so the answer does not depend on the block size.
-    """
-    import numpy as np
-
-    m1 = np.arange(-bound, bound + 1, dtype=float)[:, None]
-    m1b = m1 * b
-    base = 1.0 + np.abs(m1) * abs(b)
-    for start in range(1, bound + 1, 16):
-        m2 = np.arange(start, min(start + 16, bound + 1), dtype=float)[None, :]
-        combo = m1b + m2 * x
-        resid = np.abs(combo - np.round(combo))
-        if (resid <= tol * (base + np.abs(m2) * abs(x))).any():
-            return True
-    return False
-
-
-def _rank_estimate(xi):
-    """Heuristic dimension of the smallest rational subtorus containing xi.
-
-    Counts Q-linearly independent values among the coordinates (the first,
-    fixed to n, stands for the rationals).  Estimate only, never a
-    certificate: based on float integer-relation search.  That search
-    accepts almost every pair (449 of 450 pairs drawn uniformly from
-    [0.01, 10] give a relation).  A spurious relation drops a coordinate
-    that is in fact independent, so the count is at best a lower-bound
-    heuristic for the rank.
-    """
-    basis = []
-    for x in xi[1:]:
-        if _looks_rational(x):
-            continue
-        if any(_has_integer_relation(b, x) for b in basis):
-            continue
-        basis.append(x)
-    return 1 + len(basis)
-
-
 def minimize_reeb(cone, *, max_iter=200, xi0=None) -> MinimizationResult:
     """Unique volume-minimizing Reeb vector on the slice xi_0 = n.
 
@@ -452,6 +401,12 @@ def minimize_reeb(cone, *, max_iter=200, xi0=None) -> MinimizationResult:
     certification of the minimizer.  Requires a Gorenstein cone (height 1);
     the result is expressed in the height basis.  xi0 overrides the
     default interior seed and must lie on the slice.
+
+    Regularity is read off certification alone.  A certified minimizer is
+    rational, so quasi-regular of rank 1.  Any other (no candidate within
+    DEN_BOUNDS certifies) is reported irregular with rank 2: the least
+    rank an irregular Reeb vector has, so a lower bound on its true rank,
+    which is not computed.
     """
     if not isinstance(cone, _cones.GorensteinCone):
         cone = _cones.gorenstein_normalize(cone)
@@ -479,7 +434,6 @@ def minimize_reeb(cone, *, max_iter=200, xi0=None) -> MinimizationResult:
             gradient_norm=math.sqrt(sum(float(g) ** 2 for g in grad_f)),
         )
     vol, _, _ = _moments(c, xi, order=0)
-    rank = _rank_estimate(xi)
     return MinimizationResult(
         xi_star=tuple(xi),
         xi_star_exact=None,
@@ -487,8 +441,8 @@ def minimize_reeb(cone, *, max_iter=200, xi0=None) -> MinimizationResult:
         sasakian_volume=2 * n * (2 * math.pi) ** n * vol,
         normalized_volume=2**n * math.factorial(n) * vol,
         normalized_volume_exact=None,
-        regularity="irregular" if rank >= 2 else "undetermined",
-        rank=rank if rank >= 2 else None,
+        regularity="irregular",
+        rank=2,
         iterations=iterations,
         gradient_norm=gnorm,
     )

@@ -240,17 +240,6 @@ def random_unimodular(n, rng, shears=8):
     return m
 
 
-def has_integer_relation_full_grid(b, x, bound=512, tol=1e-7):
-    """m0 + m1*b + m2*x = 0 within tol, scanned over the whole
-    [-bound, bound] x [1, bound] grid of (m1, m2) in one float array."""
-    m1 = np.arange(-bound, bound + 1, dtype=float)
-    m2 = np.arange(1, bound + 1, dtype=float)
-    combo = m1[:, None] * b + m2[None, :] * x
-    resid = np.abs(combo - np.round(combo))
-    scale = 1.0 + np.abs(m1)[:, None] * abs(b) + np.abs(m2)[None, :] * abs(x)
-    return bool((resid <= tol * scale).any())
-
-
 def primitive(v):
     """v divided by the gcd of its entries; the zero vector unchanged."""
     g = gcd(*v)

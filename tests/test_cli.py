@@ -312,6 +312,8 @@ def test_batch_rejects_bad_enumerate_payloads(tmp_path, capsys):
         {"template": [2, 3, 7, None], "range": [5, 8, 9]},  # three bounds
         {"template": [2, 3, 7, None], "range": [5, 8], "predicate": 5},
         {"template": [2, 3, 7, None], "range": [5, 8], "predicate": ["bgk"]},
+        {"template": [2, 3, 7, None], "range": [5, 8], "predicate": ""},
+        {"template": [2, 3, 7, None], "range": [5, 8], "predicate": "bgk+"},
     )
     specs = [{"command": "link-enumerate", "payload": p} for p in bad]
     specs.append({"command": "link-enumerate",
@@ -319,8 +321,8 @@ def test_batch_rejects_bad_enumerate_payloads(tmp_path, capsys):
     code, reports = _batch(tmp_path, capsys, specs)
     assert code == 1
     assert [r.get("error", {}).get("code") for r in reports] == [
-        "SchemaError"] * 6 + [None]
-    assert reports[6]["results"]["values"] == [5, 6, 7, 8]
+        "SchemaError"] * 6 + ["ValueError"] * 2 + [None]
+    assert reports[8]["results"]["values"] == [5, 6, 7, 8]
 
 
 def test_link_enumerate_caps_the_width_of_its_range(monkeypatch):
@@ -503,7 +505,15 @@ def test_cli_import_loads_no_test_extras():
     assert proc.stdout.strip() == "[]"
 
 
-# one job of every code path that builds no array: none may load numpy
+# Y^{3,1}: irregular of rank 2, since only sqrt(4p^2 - 3q^2) enters xi
+Y31_CONE = {"n": 3, "normals": [[1, 0, 0], [1, 1, 0], [1, 3, 3], [1, 1, 2]]}
+# the cone over a trapezoid times an interval: an irregular n = 4 minimizer
+PRISM4_CONE = {"n": 4, "normals": [
+    [1, 0, 0, 0], [1, 0, 0, 1], [1, 2, 0, 0], [1, 2, 0, 1],
+    [1, 1, 1, 0], [1, 1, 1, 1], [1, 0, 1, 0], [1, 0, 1, 1],
+]}
+
+# one job of every code path: none may load numpy
 NUMPY_FREE_SPECS = [
     {"command": "link-check", "payload": {"exponents": [2, 3, 7, 5]}},
     {"command": "link-enumerate",
@@ -516,6 +526,9 @@ NUMPY_FREE_SPECS = [
     {"command": "gale-dual", "payload": {"charges": [[2, 2, -1, -3]]}},
     {"command": "cone-topology", "payload": CONIFOLD_PAYLOAD},
     {"command": "cone-minimize", "payload": dict(CONIFOLD_PAYLOAD, exact_certify=True)},
+    # irregular minimizers: regularity and rank come from certification alone
+    {"command": "cone-minimize", "payload": {"cone": Y31_CONE}},
+    {"command": "cone-minimize", "payload": {"cone": PRISM4_CONE, "exact_certify": True}},
 ]
 
 
@@ -543,12 +556,10 @@ def test_numpy_stays_off_the_start_up_path():
 
 
 def test_array_paths_keep_their_reports():
-    # the rank estimate of an irregular minimizer still loads numpy; its
-    # report is pinned to the bits the LAPACK solve gave, and the Einstein
-    # report to those of the sparse Ricci program.  Y^{3,1} is irregular of
-    # rank 2: only sqrt(4p^2 - 3q^2) enters xi
-    y31 = {"n": 3, "normals": [[1, 0, 0], [1, 1, 0], [1, 3, 3], [1, 1, 2]]}
-    report = cli.run({"command": "cone-minimize", "payload": {"cone": y31}})
+    # the irregular minimizer's report is pinned to the bits the LAPACK
+    # solve gave before numpy left the package, and the Einstein report to
+    # those of the sparse Ricci program
+    report = cli.run({"command": "cone-minimize", "payload": {"cone": Y31_CONE}})
     assert report["results"] == {
         "basis_change": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
         "gorenstein_ell": 1,

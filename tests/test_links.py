@@ -197,6 +197,13 @@ def test_enumerate_template_validation():
         lk.parse_predicate("no-such-predicate")
 
 
+@pytest.mark.parametrize("spec", ["", " ", "+", "bgk+", "+bgk", "gk++bgk-fail", "gk+ +fano"])
+def test_parse_predicate_rejects_an_empty_part(spec):
+    # an empty part names no predicate; read as "always" it would widen the search
+    with pytest.raises(ValueError, match="empty part"):
+        lk.parse_predicate(spec)
+
+
 def test_verdict_outcomes():
     assert lk.link_verdict((2, 3, 7, 5)).outcome == lk.EXISTS
     assert lk.link_verdict((2, 3, 5, 61)).outcome == lk.OBSTRUCTED  # GK is an iff

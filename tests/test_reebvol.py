@@ -485,20 +485,6 @@ def test_certified_minimizers_are_msy_critical():
     assert certified >= 5
 
 
-def test_integer_relation_matches_full_grid():
-    rng = random.Random(2024)
-    results = set()
-    for lo, hi in ((0.01, 0.1), (0.01, 10.0), (-5.0, 5.0)):
-        for _ in range(40):
-            b, x = rng.uniform(lo, hi), rng.uniform(lo, hi)
-            # 37 and 100 are not multiples of the block size
-            for bound in (512, 37, 100):
-                expected = oracles.has_integer_relation_full_grid(b, x, bound)
-                assert rv._has_integer_relation(b, x, bound) == expected, (b, x, bound)
-                results.add(expected)
-    assert results == {True, False}
-
-
 # --- the Newton solve, against numpy.linalg.solve as a test-only oracle ------
 
 
