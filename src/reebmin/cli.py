@@ -29,16 +29,6 @@ MAX_RANGE_WIDTH = 100_000
 MAX_CONE_WORK = 10_000_000
 
 
-def _jsonable(x):
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
-
-
 def _need(payload, key, kind):
     if key not in payload:
         raise SchemaError(f"missing field {key!r}")
@@ -379,13 +369,34 @@ def _error_report(spec, exc) -> dict:
 # --- output formatting ------------------------------------------------------
 
 
+def _fraction_str(x):
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
+    raise TypeError(f"a report may not hold a {type(x).__name__}: {x!r}")
+
+
+def _encode(report, **options) -> str:
+    """A report as JSON text, Fractions as "p/q"; any other non-JSON type fails."""
+    return json.dumps(report, default=_fraction_str, **options)
+
+
+def _plain(report):
+    """The report read back from its JSON text, for the human formats.
+
+    Keys keep the order they were built in: the table prints a list of
+    dicts (link-enumerate verdicts) as Python shows it, in that order, and
+    sorts the keys of the report itself, as the CSV sorts its columns.
+    """
+    return json.loads(_encode(report))
+
+
 def _emit_json(report, out):
-    out.write(json.dumps(_jsonable(report), sort_keys=True, indent=2))
+    out.write(_encode(report, sort_keys=True, indent=2))
     out.write("\n")
 
 
 def _emit_table(report, out):
-    items = _jsonable(report)
+    items = _plain(report)
 
     def walk(d, indent):
         for k in sorted(d):
@@ -400,7 +411,7 @@ def _emit_table(report, out):
 
 
 def _emit_csv(report, out):
-    results = _jsonable(report.get("results", {}))
+    results = _plain(report.get("results", {}))
     verdicts = results.get("verdicts")
     if verdicts:
         cols = sorted({k for v in verdicts for k in v})
@@ -638,7 +649,7 @@ def _batch_lines(lines, args, out) -> int:
 
 
 def _emit_line(report, out):
-    out.write(json.dumps(_jsonable(report), sort_keys=True))
+    out.write(_encode(report, sort_keys=True))
     out.write("\n")
 
 

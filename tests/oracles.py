@@ -4,10 +4,11 @@ Everything here deliberately avoids the code paths it is used to check:
 homology via the Alexander polynomial at 1 instead of pairwise gcds,
 volume gradients via finite differences instead of moment formulas,
 minimizers via grid search instead of Newton, signatures via Fraction
-arithmetic instead of scaled-integer counting, the integer-relation
-search on its whole grid at once instead of block by block, and the
-Boyer-Galicki-Kollar and Ghigi-Kollar inequalities in Fractions instead
-of integers cleared of the denominator lcm(a), the Ricci tensor by
+arithmetic at every lattice point instead of the meet-in-the-middle
+count, the integer-relation search on its whole grid at once instead of
+block by block, and the Boyer-Galicki-Kollar and Ghigi-Kollar
+inequalities in Fractions instead of integers cleared of the
+denominator lcm(a), the Ricci tensor by
 central finite differences of the metric instead of exact jets, the jet
 Ricci tensor by dense numpy contractions instead of a sparse program, and n = 3
 toric volumes and their slice gradients by the Martelli-Sparks-Yau formula
@@ -77,10 +78,14 @@ def homology_by_alexander(a):
 
 
 def signature_by_fractions(a):
-    """Milnor-fibre signature by direct Fraction arithmetic mod 2."""
+    """Milnor-fibre signature by direct Fraction arithmetic mod 2.
+
+    Any exponents; a point whose sum is an integer counts on neither side.
+    """
     plus = minus = 0
-    for point in product(*(range(1, x) for x in a)):
-        t = sum((Fraction(xi, ai) for xi, ai in zip(point, a)), Fraction(0)) % 2
+    fractions = [[Fraction(xi, ai) for xi in range(1, ai)] for ai in a]
+    for point in product(*fractions):
+        t = sum(point, Fraction(0)) % 2
         if 0 < t < 1:
             plus += 1
         elif 1 < t < 2:

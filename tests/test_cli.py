@@ -17,7 +17,9 @@ CONIFOLD_PAYLOAD = {
 
 
 def render(report):
-    return json.dumps(cli._jsonable(report), sort_keys=True, indent=2)
+    out = io.StringIO()
+    cli._emit_json(report, out)
+    return out.getvalue()
 
 
 def test_run_cone_minimize():
@@ -108,6 +110,107 @@ def test_main_link_enumerate_csv(capsys):
     assert code == 0
     assert len(lines) == 13  # header + 12 rows
     assert "exponents" in lines[0]
+
+
+CONIFOLD_NORMALS = "1,0,0;1,1,0;1,1,1;1,0,1"
+
+
+@pytest.mark.filterwarnings("ignore:weights/degree share a factor")
+def test_main_table_bytes_with_fractions(capsys):
+    # Fractions reach the human formats as the "p/q" strings of the JSON
+    code = cli.main(["cone", "minimize", "--normals", CONIFOLD_NORMALS,
+                     "--exact-certify", "--format", "table"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "command: cone-minimize\n"
+        "input:\n"
+        "  cone:\n"
+        "    n: 3\n"
+        "    normals: [[1, 0, 0], [1, 1, 0], [1, 1, 1], [1, 0, 1]]\n"
+        "  exact_certify: True\n"
+        "results:\n"
+        "  basis_change: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]\n"
+        "  gorenstein_ell: 1\n"
+        "  gradient_norm: 0.0\n"
+        "  iterations: 0\n"
+        "  normalized_volume: 0.5925925925925926\n"
+        "  normalized_volume_exact: 16/27\n"
+        "  rank: 1\n"
+        "  regularity: quasi-regular\n"
+        "  sasakian_volume: 18.374089884622112\n"
+        "  xi_star: [3.0, 1.5, 1.5]\n"
+        "  xi_star_exact: ['3/1', '3/2', '3/2']\n"
+        "strict_fail: False\n"
+        "tolerances:\n"
+        "  gradient_norm: 1e-10\n"
+        f"version: {cli.__version__}\n"
+    )
+    code = cli.main(["obstruct", "hs", "--weights", "21,21,21,2",
+                     "--degree", "42", "--format", "table"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "command: obstruct-hs\n"
+        "input:\n"
+        "  degree: 42\n"
+        "  weights: [21, 21, 21, 2]\n"
+        "results:\n"
+        "  bishop: obstructed\n"
+        "  degree: 42\n"
+        "  lichnerowicz:\n"
+        "    charge: 6/23\n"
+        "    eigenvalue: 588/529\n"
+        "    status: obstructed\n"
+        "    witness_index: 3\n"
+        "  normalized_volume: 12167/11907\n"
+        "  volume: 31.683326477635656\n"
+        "  weights: [21, 21, 21, 2]\n"
+        "strict_fail: True\n"
+        "tolerances:\n"
+        f"version: {cli.__version__}\n"
+    )
+
+
+@pytest.mark.filterwarnings("ignore:weights/degree share a factor")
+def test_main_csv_bytes_with_fractions(capsys):
+    code = cli.main(["cone", "minimize", "--normals", CONIFOLD_NORMALS,
+                     "--exact-certify", "--format", "csv"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "gorenstein_ell,gradient_norm,iterations,normalized_volume,"
+        "normalized_volume_exact,rank,regularity,sasakian_volume\n"
+        "1,0.0,0,0.5925925925925926,16/27,1,quasi-regular,18.374089884622112\n"
+    )
+    code = cli.main(["obstruct", "hs", "--weights", "21,21,21,2",
+                     "--degree", "42", "--format", "csv"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "bishop,degree,normalized_volume,volume\n"
+        "obstructed,42,12167/11907,31.683326477635656\n"
+    )
+
+
+def test_main_table_keeps_verdict_key_order(capsys):
+    # a list of verdicts prints as Python shows it, keys in the order built
+    code = cli.main(["link", "enumerate", "--template", "2,3,5,_",
+                     "--range", "17..17", "--format", "table"])
+    assert code == 0
+    assert (
+        "  verdicts: [{'exponents': [2, 3, 5, 17], 'fano': True, "
+        "'homology_type': 'integral_sphere', 'bgk': 'fail(2)', 'gk': 'pass', "
+        "'bishop': 'unobstructed', 'lichnerowicz': 'unobstructed', "
+        "'outcome': 'exists', 'reason': 'gk'}]\n"
+    ) in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("emit", [
+    cli._emit_line, cli._emit_json, cli._emit_table, cli._emit_csv,
+])
+def test_non_plain_report_value_is_never_printed(emit):
+    report = {"command": "join", "results": {"kinds": {"smooth"}}, "version": "0"}
+    out = io.StringIO()
+    with pytest.raises(TypeError, match="set"):
+        emit(report, out)
+    assert out.getvalue() == ""
 
 
 def test_main_strict_exit_codes(capsys):
@@ -210,8 +313,9 @@ ONE_SPEC_PER_COMMAND = [
 
 
 def test_reports_hold_only_plain_values():
-    # _jsonable knows Fractions and containers only, so no report may carry
-    # a numpy scalar or array (np.float64 is a float subclass: type, not isinstance)
+    # the encoder knows JSON's own types and Fractions only, so no report may
+    # carry a numpy scalar or array (np.float64 is a float subclass: type, not
+    # isinstance)
     def walk(x):
         assert type(x) in PLAIN_TYPES, (type(x), x)
         if isinstance(x, dict):

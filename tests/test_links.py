@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as F
-from itertools import combinations, product
-from math import gcd, lcm
+from itertools import combinations, permutations, product
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -18,6 +18,10 @@ def test_exponent_derived_data():
     assert e.weights == (105, 70, 30, 42)
     assert e.weight_sum == 247
     assert lk.bp((4, 6, 9)).pair_gcds == ((4, 2, 1), (2, 6, 3), (1, 3, 9))
+    # the facts set at construction stay out of equality, hash and repr
+    assert e == lk.BPExponents((2, 3, 7, 5)) != lk.bp((2, 3, 5, 7))
+    assert hash(e) == hash(lk.BPExponents((2, 3, 7, 5)))
+    assert repr(e) == "BPExponents(a=(2, 3, 7, 5))"
     with pytest.raises(ValueError):
         lk.bp((1, 3))
 
@@ -261,6 +265,29 @@ def test_signature_against_fraction_oracle():
     assert lk.milnor_signature((2, 3, 7, 11, 13)) == oracles.signature_by_fractions(
         (2, 3, 7, 11, 13)
     )
+
+
+def test_signature_random_spheres_against_fraction_oracle():
+    # the oracle visits every point, hence prod(a_i - 1) <= 1000 here;
+    # (19,17,13,11,7) is held to the benchmark's oracle in test_acceptance.py
+    rng = random.Random(14)
+    spheres = []
+    while len(spheres) < 200:
+        a = tuple(rng.randint(2, 15) for _ in range(5))
+        if lk.homology_classify(a) == lk.INTEGRAL and prod(x - 1 for x in a) <= 1000:
+            spheres.append(a)
+    # repeated 2s put partial sums of one group on multiples of L
+    # (L/2 + L/2), though never a whole sum S
+    assert sum(a.count(2) >= 2 for a in spheres) >= 20
+    spheres += [(5, 3, 2, 2, 2), (7, 5, 2, 2, 2), (13, 2, 11, 2, 2)]
+    for a in spheres:
+        assert lk.milnor_signature(a) == oracles.signature_by_fractions(a), a
+
+
+def test_signature_is_permutation_invariant():
+    a = (4, 5, 7, 9, 11)
+    tau = oracles.signature_by_fractions(a)
+    assert {lk.milnor_signature(p) for p in permutations(a)} == {tau}
 
 
 def test_signature_divisible_by_eight():
