@@ -638,11 +638,14 @@ def _batch_lines(lines, args, out) -> int:
             continue
         try:
             report = run(spec, timing=args.timing)
+            # encoded here, so a report that is not JSON fails its own job only
+            text = _encode(report, sort_keys=True)
         except Exception as exc:
             _emit_line(_error_report(spec, exc), out)
             worst = max(worst, 1)
             continue
-        _emit_line(report, out)
+        out.write(text)
+        out.write("\n")
         if args.strict and report.get("strict_fail"):
             worst = max(worst, 2)
     return worst

@@ -12,11 +12,10 @@ minimization live here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from operator import add
 
 from . import cones as _cones
 from . import latcore
@@ -148,23 +147,31 @@ class Jet:
     def __add__(self, o):
         if not isinstance(o, Jet):
             return Jet(self.v + o, self.d, self.h)
-        return Jet(self.v + o.v, tuple(map(add, self.d, o.d)), tuple(map(add, self.h, o.h)))
+        (a, b), (c, e, k) = self.d, self.h
+        (oa, ob), (oc, oe, ok) = o.d, o.h
+        return Jet(self.v + o.v, (a + oa, b + ob), (c + oc, e + oe, k + ok))
 
     __radd__ = __add__
 
-    # a - b is a + (-b) exactly in IEEE arithmetic, value parts included
     def __neg__(self):
-        return self * -1.0
+        (a, b), (c, e, k) = self.d, self.h
+        return Jet(-self.v, (-a, -b), (-c, -e, -k))
 
     def __sub__(self, o):
-        return self + -o
+        if not isinstance(o, Jet):
+            return Jet(self.v - o, self.d, self.h)
+        (a, b), (c, e, k) = self.d, self.h
+        (oa, ob), (oc, oe, ok) = o.d, o.h
+        return Jet(self.v - o.v, (a - oa, b - ob), (c - oc, e - oe, k - ok))
 
     def __rsub__(self, o):
-        return -self + o
+        (a, b), (c, e, k) = self.d, self.h
+        return Jet(o - self.v, (-a, -b), (-c, -e, -k))
 
     def __mul__(self, o):
         if not isinstance(o, Jet):
-            return Jet(self.v * o, tuple(t * o for t in self.d), tuple(t * o for t in self.h))
+            (a, b), (c, e, k) = self.d, self.h
+            return Jet(self.v * o, (a * o, b * o), (c * o, e * o, k * o))
         (ua, ub), (wa, wb) = self.d, o.d
         u, w = self.v, o.v
         return Jet(u * w, (u * wa + w * ua, u * wb + w * ub), (
@@ -177,7 +184,8 @@ class Jet:
 
     def __truediv__(self, o):
         if not isinstance(o, Jet):
-            return Jet(self.v / o, tuple(t / o for t in self.d), tuple(t / o for t in self.h))
+            (a, b), (c, e, k) = self.d, self.h
+            return Jet(self.v / o, (a / o, b / o), (c / o, e / o, k / o))
         # r = u / w from r w = u, differentiated once and twice
         r = self.v / o.v
         (ua, ub), (wa, wb) = self.d, o.d
@@ -224,15 +232,17 @@ def _components(Y: YpqParams, x: ChartPoint, y, ct, st) -> dict:
     F = f_of(Y, y)
     if _value(W) <= 0 or _value(Q) <= 0:
         raise DegenerateChartPoint(f"w(y) q(y) <= 0 at y = {x.y}")
+    WF = W * F
+    g33 = Q / 9.0 + WF * F
     return {
         (0, 0): A,
-        (1, 1): A * st * st + (Q / 9.0 + W * F * F) * ct * ct,
+        (1, 1): A * st * st + g33 * ct * ct,
         (2, 2): 1.0 / (W * Q),
-        (3, 3): Q / 9.0 + W * F * F,
+        (3, 3): g33,
         (4, 4): W,
-        (1, 3): -(Q / 9.0 + W * F * F) * ct,
-        (1, 4): -W * F * ct,
-        (3, 4): W * F,
+        (1, 3): -g33 * ct,
+        (1, 4): -WF * ct,
+        (3, 4): WF,
     }
 
 
@@ -255,15 +265,16 @@ def metric_jets(Y: YpqParams, x: ChartPoint) -> dict:
     return _components(Y, x, Jet(x.y, (0.0, 1.0)), theta.cos(), theta.sin())
 
 
-@lru_cache(maxsize=16)
 def _ricci_plan(keys: tuple, dim: int, slots: tuple):
-    """The sparse program that ricci_from_jets runs for one zero pattern.
+    """The sparse program of the Ricci tensor for one zero pattern, which
+    _ricci_kernel compiles once into the function ricci_from_jets calls.
 
     The tape holds 1, 2 and six entries per key (g, d_0 g, d_1 g, d_00 g,
     d_01 g, d_11 g; d_a along slots[a]); each step appends one entry: 1 / t[e]
-    for (None, e), else the products of the index pairs in plus, summed,
-    less those in minus.  No product with a structurally zero factor is
-    listed.  With S_lij = d_i g_lj + d_j g_li - d_l g_ij, gamma = g^-1 S
+    for (None, e), else zero plus the products of the index pairs in plus,
+    then less those in minus, added one at a time in the listed order (the
+    order fixes the float rounding).  No product with a structurally zero
+    factor is listed.  With S_lij = d_i g_lj + d_j g_li - d_l g_ij, gamma = g^-1 S
     (twice the Christoffel symbols), M_a = g^-1 d_a g, Gamma^k_ki = tr(M_i) / 2
     and sums over repeated indices,
 
@@ -342,6 +353,36 @@ def _ricci_plan(keys: tuple, dim: int, slots: tuple):
     return program, ricci
 
 
+@lru_cache(maxsize=16)
+def _ricci_kernel(keys: tuple, dim: int, slots: tuple):
+    """The program of _ricci_plan compiled to one straight-line function.
+
+    Each step becomes one statement, v<k> = 1 / v<e> or v<k> = zero + v<a> *
+    v<b> + ... - v<c> * v<d>, its products in the order of the plan; Python
+    adds left to right, so the sum is rounded as a running total would be.
+    The function takes zero and the tape entries from 2 on and returns Ric
+    as a dim x dim tuple, each entry of the plan's 4 Ric divided by 4.  The
+    source holds tape indices only.
+    """
+    program, ricci = _ricci_plan(keys, dim, slots)
+    base = 2 + 6 * len(keys)
+    lines = [f"def kernel(zero, {', '.join(f'v{k}' for k in range(2, base))}):",
+             "    v0, v1 = 1, 2"]
+    for k, (plus, minus) in enumerate(program, base):
+        if plus is None:
+            lines.append(f"    v{k} = 1 / v{minus}")
+        else:
+            terms = [f" + v{a} * v{b}" for a, b in plus] + [f" - v{a} * v{b}" for a, b in minus]
+            lines.append(f"    v{k} = zero{''.join(terms)}")
+    quarter = {e: f"r{e}" for row in ricci for e in row if e is not None}
+    lines += [f"    {r} = v{e} / 4" for e, r in quarter.items()]
+    rows = ", ".join("(" + ", ".join(quarter.get(e, "zero") for e in row) + ",)" for row in ricci)
+    lines.append(f"    return ({rows},)")
+    namespace = {}
+    exec(compile("\n".join(lines), "<ricci kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 def ricci_from_jets(components: dict, dim: int, slots: tuple[int, int]):
     """Ricci tensor, a dim x dim tuple of tuples, from the second-order jets
     of the metric components.
@@ -349,27 +390,19 @@ def ricci_from_jets(components: dict, dim: int, slots: tuple[int, int]):
     components maps (i, j), i <= j, to a Jet or a plain number; the two jet
     variables are the coordinates slots[0] and slots[1], and no component
     depends on any other coordinate.  The zero pattern of g is read from
-    the keys and its program (_ricci_plan) is built once.  Only + - * /
-    touch the entries: float jets give floats, Fraction jets exact Fractions.
+    the keys; its program (_ricci_plan) is compiled once per pattern
+    (_ricci_kernel) and then runs as one call, adding in the fixed order of
+    the plan.  Only + - * / touch the entries: float jets give floats,
+    Fraction jets exact Fractions.
     """
-    program, ricci = _ricci_plan(tuple(components), dim, tuple(slots))
-    t = [1, 2]
+    t = []
     for c in components.values():
-        if not isinstance(c, Jet):
-            c = Jet(c, (c * 0,) * 2, (c * 0,) * 3)
-        t += (c.v, *c.d, *c.h)
-    zero = t[2] * 0
-    for plus, minus in program:
-        if plus is None:
-            t.append(1 / t[minus])
-            continue
-        s = zero
-        for a, b in plus:
-            s += t[a] * t[b]
-        for a, b in minus:
-            s -= t[a] * t[b]
-        t.append(s)
-    return tuple(tuple(zero if e is None else t[e] / 4 for e in row) for row in ricci)
+        if isinstance(c, Jet):
+            t += (c.v, *c.d, *c.h)
+        else:
+            z = c * 0
+            t += (c, z, z, z, z, z)
+    return _ricci_kernel(tuple(components), dim, tuple(slots))(t[0] * 0, *t)
 
 
 def ricci_fd(Y: YpqParams, x: ChartPoint):
@@ -413,9 +446,9 @@ def killing_residual(Y: YpqParams, x: ChartPoint) -> float:
     or alpha: the check guards that the chart keeps that form.
     """
     h = 1e-4
-    along = [(f.name, c * h) for f, c in zip(fields(ChartPoint), REEB_COMPONENTS) if c]
-    up, down = (_float_components(Y, replace(x, **{n: getattr(x, n) + s * d for n, d in along}))
-                for s in (1, -1))
+    dpsi, dalpha = REEB_COMPONENTS[3] * h, REEB_COMPONENTS[4] * h
+    up = _float_components(Y, ChartPoint(x.theta, x.phi, x.y, x.psi + dpsi, x.alpha + dalpha))
+    down = _float_components(Y, ChartPoint(x.theta, x.phi, x.y, x.psi - dpsi, x.alpha - dalpha))
     return max(abs(v - down[key]) / (2.0 * h) for key, v in up.items())
 
 

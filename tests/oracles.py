@@ -10,7 +10,9 @@ block by block, and the Boyer-Galicki-Kollar and Ghigi-Kollar
 inequalities in Fractions instead of integers cleared of the
 denominator lcm(a), the Ricci tensor by
 central finite differences of the metric instead of exact jets, the jet
-Ricci tensor by dense numpy contractions instead of a sparse program, and n = 3
+Ricci tensor by dense numpy contractions instead of a sparse program, the
+sparse program by stepping through its tape instead of its compiled
+straight-line function, and n = 3
 toric volumes and their slice gradients by the Martelli-Sparks-Yau formula
 over consecutive normals instead of rays and a triangulation, integer
 kernels from the column transform of a Smith form instead of one Hermite
@@ -29,7 +31,7 @@ import numpy as np
 
 from reebmin import latcore
 from reebmin.errors import NonPrimitive, NotStrictlyConvex, RedundantNormal
-from reebmin.ypq import Jet
+from reebmin.ypq import Jet, _ricci_plan
 
 
 def alexander_invariants(a):
@@ -205,6 +207,30 @@ def ricci_from_jets_dense(components: dict, dim: int, slots: tuple[int, int]):
     term4 = np.einsum("rjl,lri->ij", gamma, gamma)
     ric = term1 - term2 + term3 - term4
     return 0.5 * (ric + ric.T)
+
+
+def ricci_by_tape(components: dict, dim: int, slots: tuple[int, int]):
+    """ypq.ricci_from_jets by interpreting the program of ypq._ricci_plan
+    one step at a time: each sum is a running total over the plan's
+    products, which the compiled kernel must reproduce bit for bit."""
+    program, ricci = _ricci_plan(tuple(components), dim, tuple(slots))
+    t = [1, 2]
+    for c in components.values():
+        if not isinstance(c, Jet):
+            c = Jet(c, (c * 0,) * 2, (c * 0,) * 3)
+        t += (c.v, *c.d, *c.h)
+    zero = t[2] * 0
+    for plus, minus in program:
+        if plus is None:
+            t.append(1 / t[minus])
+            continue
+        s = zero
+        for a, b in plus:
+            s += t[a] * t[b]
+        for a, b in minus:
+            s -= t[a] * t[b]
+        t.append(s)
+    return tuple(tuple(zero if e is None else t[e] / 4 for e in row) for row in ricci)
 
 
 def grid_minimize(vol_fn, seed_xi, half_width, steps=41):

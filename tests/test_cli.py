@@ -510,6 +510,25 @@ def test_batch_turns_an_unexpected_exception_into_an_error_line(
     assert reports[1]["results"]["kind"]
 
 
+def test_batch_turns_a_report_that_is_not_json_into_an_error_line(
+    tmp_path, capsys, monkeypatch
+):
+    def unencodable(payload):
+        return {"kind": {1, 2}}, {}, False
+
+    monkeypatch.setitem(cli._HANDLERS, "join", unencodable)
+    join = {"command": "join", "payload": {"ord": [1, 1], "index": [2, 2], "n": [2, 2]}}
+    good = {"command": "link-check", "payload": {"exponents": [2, 3, 7, 5]}}
+    code, reports = _batch(tmp_path, capsys, [join, join, good])
+    assert code == 1
+    assert len(reports) == 3
+    for report in reports[:2]:
+        assert report["command"] == "join"
+        assert report["error"] == {
+            "code": "InternalError", "message": "TypeError: a report may not hold a set: {1, 2}"}
+    assert reports[2]["command"] == "link-check" and "error" not in reports[2]
+
+
 @pytest.mark.parametrize("n", [7, 2, True, 3.0, "3", None])
 def test_cone_n_must_match_the_normals(n):
     cone = {"n": n, "normals": [[1, 0, 0], [1, 1, 0], [1, 1, 1]]}
@@ -567,6 +586,34 @@ def test_cross_process_byte_determinism(tmp_path):
     report = json.loads(outs.pop())
     assert report["command"] == "cone-minimize"
     assert report["results"]["regularity"] == "quasi-regular"
+
+
+def test_cross_process_byte_determinism_of_the_einstein_check():
+    # the Ricci kernel is generated source: it must not depend on hash order
+    import subprocess
+    import sys
+
+    cmd = [
+        sys.executable, "-m", "reebmin.cli",
+        "ypq", "--p", "8", "--q", "1", "--check-einstein", "--samples", "5",
+    ]
+    outs = set()
+    for seed in ("0", "12345"):
+        proc = subprocess.run(
+            cmd, capture_output=True, text=True,
+            env={
+                "PYTHONHASHSEED": seed,
+                "PATH": "/usr/bin:/bin",
+                "PYTHONPATH": child_pythonpath(),
+            },
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    assert len(outs) == 1
+    report = json.loads(outs.pop())
+    assert report["command"] == "ypq"
+    assert report["results"]["einstein"]["pass"] is True
+    assert report["results"]["einstein"]["samples"] == 5
 
 
 def test_closed_stdout_exits_quietly(tmp_path):

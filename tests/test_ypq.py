@@ -125,16 +125,29 @@ def test_jet_ricci_round_s3():
     assert np.max(np.abs(ric - 2.0 * round_s3(x))) <= 1e-14
 
 
-def test_jet_ricci_is_exact_on_fraction_jets():
-    # upper half-space H^3, g = delta / z^2 at z = 3: Ric = -2 g
+def fraction_cases():
+    # upper half-space H^3, g = delta / z^2 at z = 3, with Ric = -2 g; the
+    # flat plane in polar coordinates, g = diag(1, r^2), at r = 3/2; and the
+    # float jets of Y^{2,1} at one point read as exact Fractions
     z = F(3)
     g = ypq.Jet(1 / z**2, (F(0), -2 / z**3), (F(0), F(0), 6 / z**4))
-    ric = ypq.ricci_from_jets({(0, 0): g, (1, 1): g, (2, 2): g}, 3, (0, 2))
-    assert ric == tuple(tuple(-2 * g.v if i == j else 0 for j in range(3)) for i in range(3))
-    assert all(type(v) is F for row in ric for v in row)
-    # the flat plane in polar coordinates, g = diag(1, r^2), at r = 3/2
+    yield {(0, 0): g, (1, 1): g, (2, 2): g}, 3, (0, 2)
     r2 = ypq.Jet(F(9, 4), (F(3), F(0)), (F(2), F(0), F(0)))
-    ric = ypq.ricci_from_jets({(0, 0): F(1), (1, 1): r2}, 2, (0, 1))
+    yield {(0, 0): F(1), (1, 1): r2}, 2, (0, 1)
+    Y = ypq.ypq_params(2, 1)
+    x = ypq.random_chart_points(Y, 1, random.Random(46))[0]
+    comps = {key: ypq.Jet(F(c.v), tuple(map(F, c.d)), tuple(map(F, c.h)))
+             for key, c in ypq.metric_jets(Y, x).items()}
+    yield comps, 5, (0, 2)
+
+
+def test_jet_ricci_is_exact_on_fraction_jets():
+    (h3, h3_dim, h3_slots), (polar, dim, slots), _ = fraction_cases()
+    ric = ypq.ricci_from_jets(h3, h3_dim, h3_slots)
+    g = h3[0, 0].v
+    assert ric == tuple(tuple(-2 * g if i == j else 0 for j in range(3)) for i in range(3))
+    assert all(type(v) is F for row in ric for v in row)
+    ric = ypq.ricci_from_jets(polar, dim, slots)
     assert ric == ((0, 0), (0, 0))
     assert all(type(v) is F for row in ric for v in row)
 
@@ -158,6 +171,32 @@ def test_sparse_ricci_matches_the_dense_oracle():
         dense = oracles.ricci_from_jets_dense(comps, dim, slots)
         sparse = ypq.ricci_from_jets(comps, dim, slots)
         assert np.max(np.abs(np.array(sparse) - dense)) <= 1e-12 * scale
+
+
+def test_compiled_ricci_matches_the_tape_bitwise():
+    # the kernel adds in the plan's order, so its floats are the tape's bits
+    cases = list(dense_cases())
+    for (p, q) in ((2, 1), (8, 1), (20, 1), (500, 1)):
+        Y = ypq.ypq_params(p, q)
+        for x in ypq.random_chart_points(Y, 25, random.Random(1000 * p + q)):
+            cases.append((ypq.metric_jets(Y, x), 5, (0, 2), None))
+    for comps, dim, slots, _ in cases:
+        ric = ypq.ricci_from_jets(comps, dim, slots)
+        tape = oracles.ricci_by_tape(comps, dim, slots)
+        for row, tape_row in zip(ric, tape, strict=True):
+            for v, t in zip(row, tape_row, strict=True):
+                assert v == t and math.copysign(1.0, v) == math.copysign(1.0, t)
+
+
+def test_compiled_ricci_is_the_exact_tape_on_fraction_jets():
+    for comps, dim, slots in fraction_cases():
+        ric = ypq.ricci_from_jets(comps, dim, slots)
+        assert ric == oracles.ricci_by_tape(comps, dim, slots)
+        assert all(type(v) is F for row in ric for v in row)
+
+
+def test_ricci_kernel_cache_is_bounded():
+    assert ypq._ricci_kernel.cache_info().maxsize is not None
 
 
 def jet_probe(t, y, ct, st):
@@ -235,6 +274,21 @@ def test_killing_and_ricci_reeb():
     for x in ypq.random_chart_points(Y, 5, rng):
         assert ypq.killing_residual(Y, x) == 0.0  # the metric never reads phi, psi, alpha
         assert ypq.ricci_reeb_residual(Y, x) <= 1e-12
+
+
+def test_killing_residual_sees_a_metric_that_reads_psi(monkeypatch):
+    # negative control: the check must move the point along xi = 3 d_psi - ...
+    components = ypq._components
+
+    def reads_psi(Y, x, y, ct, st):
+        g = components(Y, x, y, ct, st)
+        g[3, 3] = g[3, 3] + 1e-3 * x.psi
+        return g
+
+    monkeypatch.setattr(ypq, "_components", reads_psi)
+    Y = ypq.ypq_params(2, 1)
+    for x in ypq.random_chart_points(Y, 5, random.Random(43)):
+        assert ypq.killing_residual(Y, x) == pytest.approx(3e-3, rel=1e-6)
 
 
 def test_quasiregular_check():
