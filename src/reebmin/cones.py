@@ -75,24 +75,17 @@ class MomentCone:
     def to_dict(self) -> dict:
         return {"n": self.n, "normals": [list(v) for v in self.normals]}
 
-    @staticmethod
-    def from_dict(data: dict) -> "MomentCone":
-        return validate_cone(data["normals"])
-
 
 @dataclass(frozen=True)
 class GorensteinCone:
-    """A moment cone together with a basis in which every normal is (ell, w_a)."""
+    """A moment cone together with a basis in which every normal is (ell, w_a).
 
-    base: MomentCone
+    basis_change is T, whose first row is the Gorenstein covector u.
+    """
+
     ell: int
-    covector: tuple[int, ...]
     basis_change: tuple[tuple[int, ...], ...]
-    cone: MomentCone  # base transformed so normals read (ell, w_a)
-
-    @property
-    def is_gorenstein(self) -> bool:
-        return self.ell == 1
+    cone: MomentCone  # the original cone transformed so normals read (ell, w_a)
 
 
 @dataclass(frozen=True)
@@ -206,15 +199,6 @@ def extreme_rays(cone: MomentCone) -> tuple[tuple[int, ...], ...]:
     return cone.rays
 
 
-def dual_cone(cone: MomentCone) -> tuple[tuple[int, ...], ...]:
-    """Primitive generating rays of the dual cone C = {xi : <y, xi> >= 0 on C*}.
-
-    Computed honestly from the generator description of C*, so for a valid
-    minimal cone this recovers the normal set (sorted).
-    """
-    return _extreme_rays_pointed(cone.rays, cone.n)
-
-
 def triangulation(cone: MomentCone) -> tuple[tuple[int, ...], ...]:
     """Simplicial decomposition of C* on its extreme rays.
 
@@ -290,9 +274,7 @@ def gorenstein_normalize(cone: MomentCone) -> GorensteinCone:
     T_inv_t = latcore.transpose(T_inv)
     new_rays = tuple(sorted(tuple(matvec(T_inv_t, r)) for r in cone.rays))
     return GorensteinCone(
-        base=cone,
         ell=ell,
-        covector=u,
         basis_change=tuple(tuple(row) for row in T),
         cone=MomentCone(n=n, normals=new_normals, rays=new_rays),
     )
@@ -320,62 +302,3 @@ def smale_type(cone: MomentCone) -> SmaleType:
         raise NotSimplyConnected(f"pi1 invariants {top.pi1_invariants}")
     k = cone.d - 3
     return SmaleType(k=k, label="S^5" if k == 0 else f"#{k}(S^2xS^3)")
-
-
-def flat_cone(n: int) -> MomentCone:
-    """The flat C^n model cone in its standard height-1 basis.
-
-    Normals are (1, 0, ..., 0) and (1, e_i); the link is the round sphere
-    S^(2n-1) and the critical Reeb vector is (n, 1, ..., 1).
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n == 1:
-        return validate_cone([(1,)])
-    normals = [tuple([1] + [0] * (n - 1))]
-    for i in range(1, n):
-        v = [1] + [0] * (n - 1)
-        v[i] = 1
-        normals.append(tuple(v))
-    return validate_cone(normals)
-
-
-def conifold_cone() -> MomentCone:
-    """The quadric (conifold) cone in its height-1 basis."""
-    return validate_cone([(1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1)])
-
-
-def unimodular_match(vectors_a, vectors_b):
-    """Search for a unimodular T mapping one vector set bijectively onto another.
-
-    Returns T as a list of rows, or None.  Brute force over images of a
-    maximal independent subset; fine at the handful-of-rays scale used here.
-    """
-    A = [tuple(v) for v in vectors_a]
-    B = [tuple(v) for v in vectors_b]
-    if len(A) != len(B) or not A:
-        return None
-    n = len(A[0])
-    picked = []
-    for v in A:
-        if latcore.rank([list(u) for u in picked + [v]]) > len(picked):
-            picked.append(v)
-        if len(picked) == n:
-            break
-    if len(picked) < n:
-        return None
-    a_cols = latcore.transpose([list(v) for v in picked])
-    # T = B A^-1 = B adj(A) / det(A), integral iff det(A) divides B adj(A)
-    a_det = latcore.int_det(a_cols)
-    a_adj = latcore.adjugate(a_cols)
-    for image in itertools.permutations(B, n):
-        b_cols = latcore.transpose([list(v) for v in image])
-        T = latcore.matmul(b_cols, a_adj)
-        if any(x % a_det for row in T for x in row):
-            continue
-        T = [[x // a_det for x in row] for row in T]
-        if abs(latcore.int_det(T)) != 1:
-            continue
-        if sorted(tuple(matvec(T, list(v))) for v in A) == sorted(B):
-            return T
-    return None

@@ -49,11 +49,6 @@ def transpose(M: IntMatrix) -> list[list]:
     return [list(col) for col in zip(*M)]
 
 
-def matmul(A, B) -> list[list]:
-    Bt = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
-
-
 # sum(map(mul, ..)) adds the products left to right, as a generator sum
 # would, so float callers get the same bits
 def matvec(A, x) -> list:

@@ -250,14 +250,6 @@ def link_verdict(a) -> LinkVerdict:
 
 # --- enumeration ------------------------------------------------------------
 
-def coprime_to_at_least(fixed, count):
-    """Predicate: the free exponent is coprime to >= count of the fixed ones."""
-    def pred(v: LinkVerdict, _fixed=tuple(fixed), _count=count):
-        k = v.exponents[-1]
-        return sum(1 for f in _fixed if gcd(f, k) == 1) >= _count
-    return pred
-
-
 NAMED_PREDICATES = {
     "bgk": lambda v: v.bgk.passed,
     "bgk-fail": lambda v: not v.bgk.passed,

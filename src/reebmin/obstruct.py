@@ -10,8 +10,6 @@ smoothness criterion for products of Sasaki-Einstein orbifolds.
 from __future__ import annotations
 
 import math
-import random
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
@@ -40,15 +38,12 @@ class WeightedHS:
             g = gcd(g, w)
         if g > 1:
             # imprimitive torus action; a weighted homogeneous polynomial of
-            # this degree exists only if the degree carries the same factor
+            # this degree exists only if the degree carries the same factor.
+            # A report shows the normalized weights next to the input ones.
             if self.degree % g:
                 raise ValueError(
                     f"degree {self.degree} not divisible by gcd(weights) = {g}"
                 )
-            warnings.warn(
-                f"weights/degree share a factor {g}; normalizing to an effective action",
-                stacklevel=3,
-            )
             object.__setattr__(self, "weights", tuple(w // g for w in self.weights))
             object.__setattr__(self, "degree", self.degree // g)
 
@@ -99,13 +94,6 @@ def bishop_check(h: WeightedHS) -> str:
     return OBSTRUCTED if d * excess**n > h.weight_prod * n**n else UNOBSTRUCTED
 
 
-def coordinate_charges(h: WeightedHS) -> list[Fraction]:
-    """Reeb charge of each coordinate z_i under the Einstein-normalized field."""
-    _require_fano(h)
-    excess = h.weight_sum - h.degree
-    return [Fraction(h.n * w, excess) for w in h.weights]
-
-
 @dataclass(frozen=True)
 class LichResult:
     status: str                  # obstructed | unobstructed | unobstructed-marginal
@@ -138,41 +126,6 @@ def lichnerowicz_check(h: WeightedHS) -> LichResult:
         charge=lam,
         eigenvalue=lam * (lam + 2 * (n - 1)),
     )
-
-
-@dataclass(frozen=True)
-class PropertyReport:
-    samples: int
-    bishop_obstructed: int
-    counterexamples: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.counterexamples
-
-
-def bishop_implies_lich_property(n_samples=10_000, seed=0) -> PropertyReport:
-    """Sampled check that a Bishop violation forces a Lichnerowicz violation.
-
-    Real-valued weights (the theorem holds for positive reals), n drawn from
-    3, 4, 5 and n + 1 weights from [0.05, 10]: whenever d(|w|-d)^n > w n^n
-    with 0 < d < |w|, assert |w| - d > n w_min.  Any counterexample is
-    returned; there must be none.
-    """
-    rng = random.Random(seed)
-    bad = []
-    hits = 0
-    for _ in range(n_samples):
-        n = rng.choice((3, 4, 5))
-        w = [rng.uniform(0.05, 10.0) for _ in range(n + 1)]
-        d = rng.uniform(1e-6, sum(w) * (1 - 1e-9))
-        wsum, wprod = sum(w), prod(w)
-        excess = wsum - d
-        if d * excess**n > wprod * n**n:
-            hits += 1
-            if not excess > n * min(w):
-                bad.append((w, d))
-    return PropertyReport(samples=n_samples, bishop_obstructed=hits, counterexamples=bad)
 
 
 # --- the join ---------------------------------------------------------------

@@ -33,32 +33,6 @@ GRAD_TOL = 1e-10
 DEN_BOUNDS = (1000, 10**6)
 
 
-@dataclass(frozen=True)
-class ReebVector:
-    xi: tuple
-    exact: bool
-
-
-def reeb_vector(xi) -> ReebVector:
-    vals = tuple(xi.xi if isinstance(xi, ReebVector) else xi)
-    exact = all(isinstance(x, (int, Fraction)) for x in vals)
-    return ReebVector(xi=vals, exact=exact)
-
-
-def _xi_tuple(xi):
-    vals = xi.xi if isinstance(xi, ReebVector) else tuple(xi)
-    # exact entries stay exact: plain ints would otherwise fall into float
-    # division further down
-    return tuple(Fraction(v) if isinstance(v, int) else v for v in vals)
-
-
-def _resolve(cone):
-    """Accept a MomentCone or a GorensteinCone (then: its height basis)."""
-    if isinstance(cone, _cones.GorensteinCone):
-        return cone.cone
-    return cone
-
-
 def _pairings(cone, xi):
     rays = cone.rays
     pair = [dot(r, xi) for r in rays]
@@ -72,8 +46,9 @@ def _moments(cone, xi, order=0):
 
     Arithmetic follows the type of xi: Fractions in, Fractions out.
     """
-    cone = _resolve(cone)
-    xi = _xi_tuple(xi)
+    # exact entries stay exact: plain ints would otherwise fall into float
+    # division further down
+    xi = tuple(Fraction(v) if isinstance(v, int) else v for v in xi)
     n = cone.n
     rays, pair = _pairings(cone, xi)
     cut = [tuple(r[i] / (2 * p) for i in range(n)) for r, p in zip(rays, pair)]
@@ -109,105 +84,6 @@ def _moments(cone, xi, order=0):
             for k in range(i):
                 hess[i][k] = hess[k][i]
     return vol, grad, hess
-
-
-@dataclass(frozen=True)
-class ReebPolytope:
-    """Exact vertex description of Delta(xi) = C* cut at <y, xi> = 1/2.
-
-    vertices[0] is the origin; vertices[1 + j] is extreme ray j of C*
-    scaled onto the characteristic hyperplane.  facets lists the vertex
-    index sets of the cone facets (one per normal, in order) followed by
-    the characteristic facet H(xi).
-    """
-
-    cone: _cones.MomentCone
-    xi: tuple
-    vertices: tuple
-    facets: tuple
-    exact: bool
-
-
-def reeb_polytope(cone, xi) -> ReebPolytope:
-    c = _resolve(cone)
-    rv = reeb_vector(xi)
-    vals = _xi_tuple(rv.xi)
-    n = c.n
-    rays, pair = _pairings(c, vals)
-    verts = [tuple([0 * vals[0]] * n)]
-    verts += [tuple(r[i] / (2 * p) for i in range(n)) for r, p in zip(rays, pair)]
-    facets = []
-    for v in c.normals:
-        facets.append(tuple([0] + [1 + j for j, r in enumerate(rays) if dot(r, v) == 0]))
-    facets.append(tuple(range(1, len(rays) + 1)))
-    return ReebPolytope(
-        cone=c, xi=vals, vertices=tuple(verts), facets=tuple(facets), exact=rv.exact
-    )
-
-
-def polytope_volume(p: ReebPolytope):
-    """Euclidean volume of Delta(xi), exact when the polytope is exact."""
-    vol, _, _ = _moments(p.cone, p.xi, order=0)
-    return vol
-
-
-def sphere_volume(n: int) -> float:
-    """Riemannian volume of the round unit S^(2n-1)."""
-    return 2 * math.pi**n / math.factorial(n - 1)
-
-
-def _height(cone, xi):
-    """<e1, xi> in the height basis, i.e. <u, xi> for the Gorenstein covector."""
-    xi = _xi_tuple(xi)
-    if isinstance(cone, _cones.GorensteinCone):
-        return xi[0]
-    return dot(_cones.gorenstein_normalize(cone).covector, xi)
-
-
-@dataclass(frozen=True)
-class VolumeReport:
-    vol_delta: object
-    sasakian_volume: float
-    normalized_volume: object
-    einstein_hilbert: float
-
-
-def vol_functional(cone, xi) -> VolumeReport:
-    """Sasakian volume data at a Reeb vector xi interior to the dual cone.
-
-    normalized_volume is vol(S, g) / vol(S^(2n-1)) = 2^n n! vol(Delta(xi));
-    it stays an exact Fraction for exact input.
-    """
-    c = _resolve(cone)
-    n = c.n
-    vol, _, _ = _moments(c, xi, order=0)
-    normalized = 2**n * math.factorial(n) * vol
-    return VolumeReport(
-        vol_delta=vol,
-        sasakian_volume=2 * n * (2 * math.pi) ** n * float(vol),
-        normalized_volume=normalized,
-        einstein_hilbert=ein_hilbert(cone, xi),
-    )
-
-
-def ein_hilbert(cone, xi) -> float:
-    """Einstein-Hilbert action on toric Sasakian metrics as a function of xi."""
-    c = _resolve(cone)
-    n = c.n
-    vol, _, _ = _moments(c, xi, order=0)
-    h = _height(cone, xi)
-    return 8 * n * (n - 1) * (2 * math.pi) ** n * (float(h) - (n - 1)) * float(vol)
-
-
-def vol_gradient(cone, xi) -> list:
-    """d vol(Delta) / d xi_i; exact in Fraction arithmetic for exact xi."""
-    _, grad, _ = _moments(cone, xi, order=1)
-    return grad
-
-
-def vol_hessian(cone, xi) -> list:
-    _, _, hess = _moments(cone, xi, order=2)
-    return hess
 
 
 # --- minimization -----------------------------------------------------------

@@ -457,11 +457,6 @@ def reeb_norm_residual(Y: YpqParams, x: ChartPoint) -> float:
     return abs(_quadratic(REEB_COMPONENTS, metric_eval(Y, x)) - 1.0)
 
 
-def ricci_reeb_residual(Y: YpqParams, x: ChartPoint) -> float:
-    """|Ric(xi, xi) - 4|, checked independently of the full Einstein test."""
-    return abs(_quadratic(REEB_COMPONENTS, ricci_fd(Y, x)) - 4.0)
-
-
 def random_chart_points(Y: YpqParams, count: int, rng) -> list[ChartPoint]:
     """Sample points with theta in [0.2, pi - 0.2] and y off both ends of
     [y1, y2] by 5% of its length."""
@@ -544,14 +539,6 @@ def labc_admissible(a: int, b: int, c: int) -> LabcVerdict:
     if reasons:
         return LabcVerdict(valid=False, params=None, reasons=tuple(reasons))
     return LabcVerdict(valid=True, params=LabcParams(a=a, b=b, c=c), reasons=())
-
-
-def ypq_embed(p: int, q: int) -> LabcParams:
-    """Y^{p,q} as L^{p-q, p+q, p}; asserts the admissibility conditions."""
-    _check_pq(p, q)
-    verdict = labc_admissible(p - q, p + q, p)
-    assert verdict.valid, verdict.reasons
-    return verdict.params
 
 
 def labc_cone(L: LabcParams) -> _cones.GorensteinCone:

@@ -17,14 +17,19 @@ toric volumes and their slice gradients by the Martelli-Sparks-Yau formula
 over consecutive normals instead of rays and a triangulation, integer
 kernels from the column transform of a Smith form instead of one Hermite
 form of [M^T | I], determinants by the Leibniz expansion instead of
-closed forms and elimination, and cone validation by the general
+closed forms and elimination, cone validation by the general
 signed-minor enumerator with a rank test for every normal instead of the
-n = 3 cross product and incidence counts.
+n = 3 cross product and incidence counts, and the volume minimizer of any
+cone by scipy root finding on qhull's facets of Delta(xi) instead of
+Newton on the pulling triangulation.  The unimodular equivalence search
+and the sampled Bishop => Lichnerowicz implication live here too: they
+are checks, not library operations.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
+import random
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -406,3 +411,66 @@ def validate_cone_by_minors(normals):
         if counts[v] > 1 or latcore.rank(tight) < n - 1:
             raise RedundantNormal(i)
     return rays
+
+
+def matmul(A, B):
+    Bt = list(zip(*B))
+    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
+
+
+def unimodular_match(vectors_a, vectors_b):
+    """A unimodular T mapping one vector set bijectively onto another, or None.
+
+    Brute force over images of a maximal independent subset; fine at the
+    handful-of-rays scale used here.
+    """
+    A = [tuple(v) for v in vectors_a]
+    B = [tuple(v) for v in vectors_b]
+    if len(A) != len(B) or not A:
+        return None
+    n = len(A[0])
+    picked = []
+    for v in A:
+        if latcore.rank([list(u) for u in picked + [v]]) > len(picked):
+            picked.append(v)
+        if len(picked) == n:
+            break
+    if len(picked) < n:
+        return None
+    a_cols = latcore.transpose([list(v) for v in picked])
+    # T = B A^-1 = B adj(A) / det(A), integral iff det(A) divides B adj(A)
+    a_det = latcore.int_det(a_cols)
+    a_adj = latcore.adjugate(a_cols)
+    for image in permutations(B, n):
+        T = matmul(latcore.transpose([list(v) for v in image]), a_adj)
+        if any(x % a_det for row in T for x in row):
+            continue
+        T = [[x // a_det for x in row] for row in T]
+        if abs(latcore.int_det(T)) != 1:
+            continue
+        if sorted(tuple(latcore.matvec(T, list(v))) for v in A) == sorted(B):
+            return T
+    return None
+
+
+def bishop_implies_lich_property(n_samples, seed):
+    """Sampled check that a Bishop violation forces a Lichnerowicz violation.
+
+    Real-valued weights (the theorem holds for positive reals), n drawn from
+    3, 4, 5 and n + 1 weights from [0.05, 10]: whenever d(|w|-d)^n > w n^n
+    with 0 < d < |w|, the check wants |w| - d > n w_min.  Returns the number
+    of Bishop-obstructed samples and the counterexamples; there must be none.
+    """
+    rng = random.Random(seed)
+    bad = []
+    hits = 0
+    for _ in range(n_samples):
+        n = rng.choice((3, 4, 5))
+        w = [rng.uniform(0.05, 10.0) for _ in range(n + 1)]
+        d = rng.uniform(1e-6, sum(w) * (1 - 1e-9))
+        excess = sum(w) - d
+        if d * excess**n > prod(w) * n**n:
+            hits += 1
+            if not excess > n * min(w):
+                bad.append((w, d))
+    return hits, bad

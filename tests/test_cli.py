@@ -115,7 +115,6 @@ def test_main_link_enumerate_csv(capsys):
 CONIFOLD_NORMALS = "1,0,0;1,1,0;1,1,1;1,0,1"
 
 
-@pytest.mark.filterwarnings("ignore:weights/degree share a factor")
 def test_main_table_bytes_with_fractions(capsys):
     # Fractions reach the human formats as the "p/q" strings of the JSON
     code = cli.main(["cone", "minimize", "--normals", CONIFOLD_NORMALS,
@@ -170,7 +169,6 @@ def test_main_table_bytes_with_fractions(capsys):
     )
 
 
-@pytest.mark.filterwarnings("ignore:weights/degree share a factor")
 def test_main_csv_bytes_with_fractions(capsys):
     code = cli.main(["cone", "minimize", "--normals", CONIFOLD_NORMALS,
                      "--exact-certify", "--format", "csv"])
@@ -637,6 +635,27 @@ def test_closed_stdout_exits_quietly(tmp_path):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+def test_batch_normalizing_weights_writes_nothing_to_stderr(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    job = {"command": "obstruct-hs", "payload": {"weights": [9, 12, 15, 21], "degree": 18}}
+    job_file = tmp_path / "jobs.ndjson"
+    job_file.write_text(json.dumps(job) + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "reebmin.cli", "batch", str(job_file)],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=child_pythonpath()),
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    # the normalization shows in the report itself
+    report = json.loads(proc.stdout)
+    assert report["input"]["weights"] == [9, 12, 15, 21]
+    assert report["results"]["weights"] == [3, 4, 5, 7]
+    assert report["results"]["degree"] == 6
 
 
 def test_cli_import_loads_no_test_extras():

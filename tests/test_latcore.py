@@ -14,7 +14,7 @@ def is_diagonal(m):
 
 def snf_contract_holds(mat):
     u, d, v = lc.smith_normal_form(mat)
-    assert lc.matmul(lc.matmul(u, mat), v) == d
+    assert oracles.matmul(oracles.matmul(u, mat), v) == d
     assert abs(lc.int_det(u)) == 1
     assert abs(lc.int_det(v)) == 1
     assert is_diagonal(d)
@@ -87,11 +87,9 @@ def test_gale_dual_substitution():
 
 
 def test_gale_dual_conifold_equivalence():
-    from reebmin.cones import unimodular_match
-
     rays = lc.gale_dual([[1, 1, -1, -1]])
     expected = [(1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1)]
-    assert unimodular_match(rays, expected) is not None
+    assert oracles.unimodular_match(rays, expected) is not None
 
 
 def test_gale_dual_empty_charges():
@@ -136,7 +134,7 @@ def test_hermite_normal_form_canonical():
         h = lc.hermite_normal_form(mat)
         # invariant under unimodular row mixing
         u = oracles.random_unimodular(rows, rng)
-        assert lc.hermite_normal_form(lc.matmul(u, mat)) == h
+        assert lc.hermite_normal_form(oracles.matmul(u, mat)) == h
 
 
 def test_unimodular_completion():
@@ -150,7 +148,7 @@ def test_unimodular_completion():
         t, t_inv = lc.unimodular_completion(v)
         assert t[0] == v
         assert abs(lc.int_det(t)) == 1
-        assert lc.matmul(t, t_inv) == lc.identity(n)
+        assert oracles.matmul(t, t_inv) == lc.identity(n)
     assert lc.unimodular_completion((1, 0, 0)) == (lc.identity(3), lc.identity(3))
 
 
@@ -207,7 +205,7 @@ def test_rank_matches_smith_form():
             k = rng.randint(1, max(1, min(m, n) - 1))
             a = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(m)]
             b = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)]
-            mat = lc.matmul(a, b)
+            mat = oracles.matmul(a, b)
         else:
             mat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
             for i in rng.sample(range(m), rng.randint(0, m)):
@@ -236,7 +234,7 @@ def test_integer_kernel_matches_smith_oracle():
             k = rng.randint(1, max(1, m - 1))
             a = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
             b = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)]
-            mat = lc.matmul(a, b)
+            mat = oracles.matmul(a, b)
         elif kind == 2:
             mat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
             for i in rng.sample(range(m), rng.randint(0, m)):
@@ -274,14 +272,14 @@ def test_adjugate_gives_det_times_identity():
             k = rng.randint(0, n - 1)
             a = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(n)]
             b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
-            mat = lc.matmul(a, b) if k else [[0] * n for _ in range(n)]
+            mat = oracles.matmul(a, b) if k else [[0] * n for _ in range(n)]
         else:
             mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         det = lc.int_det(mat)
         singular += det == 0
         adj = lc.adjugate(mat)
         scaled = [[det * x for x in row] for row in lc.identity(n)]
-        assert lc.matmul(adj, mat) == scaled == lc.matmul(mat, adj), mat
+        assert oracles.matmul(adj, mat) == scaled == oracles.matmul(mat, adj), mat
     assert singular >= 200
     assert lc.adjugate([[7]]) == [[1]]
     assert lc.adjugate([[1, 2], [3, 4]]) == [[4, -2], [-3, 1]]
@@ -293,7 +291,7 @@ def test_unimodular_inverse_is_integral_and_checks_det():
         n = rng.randint(1, 6)
         u = oracles.random_unimodular(n, rng)
         inv = lc.unimodular_inverse(u)
-        assert lc.matmul(u, inv) == lc.identity(n) == lc.matmul(inv, u)
+        assert oracles.matmul(u, inv) == lc.identity(n) == oracles.matmul(inv, u)
     for mat in ([[2]], [[-2]], [[1, 1], [-1, 1]], [[1, 0], [0, -2]], [[1, 2], [2, 4]]):
         with pytest.raises(RankError):
             lc.unimodular_inverse(mat)

@@ -13,9 +13,22 @@ from reebmin.errors import NotGorenstein, NotQGorenstein, ReebNotInterior
 import cone_suite
 import oracles
 
-CONIFOLD = cn.conifold_cone()
+CONIFOLD = cone_suite.cone("conifold")
+FLAT2, FLAT3, FLAT4 = (cone_suite.cone(f"flat{n}") for n in (2, 3, 4))
 Y21 = cn.validate_cone([(1, 0, 0), (1, 2, 0), (1, 0, 1), (1, 3, -1)])
-FIVE_CONES = [cn.flat_cone(2), cn.flat_cone(3), cn.flat_cone(4), CONIFOLD, Y21]
+FIVE_CONES = [FLAT2, FLAT3, FLAT4, CONIFOLD, Y21]
+
+
+def vol_of(cone, xi):
+    return rv._moments(cone, xi)[0]
+
+
+def vol_gradient(cone, xi):
+    return rv._moments(cone, xi, 1)[1]
+
+
+def vol_hessian(cone, xi):
+    return rv._moments(cone, xi, 2)[2]
 
 
 def random_interior_xi(cone, rng, on_slice=True):
@@ -27,7 +40,7 @@ def random_interior_xi(cone, rng, on_slice=True):
         if on_slice:
             xi = [n * x / xi[0] for x in xi]
         try:
-            rv.vol_gradient(cone, xi)
+            vol_of(cone, xi)
             return xi
         except ReebNotInterior:
             continue
@@ -36,98 +49,86 @@ def random_interior_xi(cone, rng, on_slice=True):
 # --- polytopes and volumes ---------------------------------------------------
 
 
+def cut_points(cone, xi):
+    """The vertices of Delta(xi) besides the origin: each ray r at r / (2 <r, xi>)."""
+    return {tuple(x / (2 * lc.dot(r, xi)) for x in r) for r in cone.rays}
+
+
 def test_quadrant_triangle():
     quad = cn.validate_cone([(1, 0), (0, 1)])
-    poly = rv.reeb_polytope(quad, (F(2), F(2)))
-    assert poly.exact
-    assert set(poly.vertices) == {(F(0), F(0)), (F(1, 4), F(0)), (F(0), F(1, 4))}
-    assert rv.polytope_volume(poly) == F(1, 32)
-    # facet structure: two cone facets through the origin plus the cut facet
-    assert poly.facets[-1] == (1, 2)
-    assert all(0 in f for f in poly.facets[:-1])
+    xi = (F(2), F(2))
+    assert cut_points(quad, xi) == {(F(1, 4), F(0)), (F(0), F(1, 4))}
+    assert vol_of(quad, xi) == F(1, 32)
 
 
 def test_unit_simplex_volume():
     orthant = cn.validate_cone(lc.identity(3))
-    poly = rv.reeb_polytope(orthant, (F(1, 2), F(1, 2), F(1, 2)))
-    assert set(poly.vertices) == {
-        (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
-    } | set(poly.vertices)
-    assert rv.polytope_volume(poly) == F(1, 6)
+    xi = (F(1, 2), F(1, 2), F(1, 2))
+    assert cut_points(orthant, xi) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    assert vol_of(orthant, xi) == F(1, 6)
 
 
 def test_flat3_simplex_volume():
-    poly = rv.reeb_polytope(cn.flat_cone(3), (F(3), F(1), F(1)))
-    assert len(poly.vertices) == 4
-    assert rv.polytope_volume(poly) == F(1, 48)
+    assert len(FLAT3.rays) == 3
+    assert vol_of(FLAT3, (F(3), F(1), F(1))) == F(1, 48)
 
 
 def test_conifold_polytope():
-    poly = rv.reeb_polytope(CONIFOLD, (F(3), F(3, 2), F(3, 2)))
-    assert len(poly.vertices) == 5  # origin + 4 cut points
-    assert rv.polytope_volume(poly) == F(1, 81)
+    assert len(CONIFOLD.rays) == 4  # Delta(xi): the origin and 4 cut points
+    assert vol_of(CONIFOLD, (F(3), F(3, 2), F(3, 2))) == F(1, 81)
 
 
 def test_reeb_not_interior():
     with pytest.raises(ReebNotInterior):
-        rv.reeb_polytope(cn.validate_cone([(1, 0), (0, 1)]), (1, -1))
+        vol_of(cn.validate_cone([(1, 0), (0, 1)]), (1, -1))
     with pytest.raises(ReebNotInterior):
-        rv.vol_gradient(CONIFOLD, (0, 1, 1))
+        vol_gradient(CONIFOLD, (0, 1, 1))
 
 
 # --- the volume functional ---------------------------------------------------
 
 
 def test_flat_normalized_volume_is_one():
-    vr = rv.vol_functional(cn.flat_cone(3), (F(3), F(1), F(1)))
-    assert vr.normalized_volume == 1
-    assert abs(vr.sasakian_volume - rv.sphere_volume(3)) < 1e-12
+    vol = vol_of(FLAT3, (F(3), F(1), F(1)))
+    assert 2**3 * math.factorial(3) * vol == 1
+    # vol(S, g) = 2 n (2 pi)^n vol(Delta) is the round S^5's 2 pi^3 / 2!
+    assert abs(2 * 3 * (2 * math.pi) ** 3 * float(vol) - math.pi**3) < 1e-12
 
 
 def test_flat3_grid_oracle_confirms_minimum():
-    cone = cn.flat_cone(3)
-
     def vol(xi):
-        return float(rv.vol_functional(cone, xi).vol_delta)
+        return float(vol_of(FLAT3, xi))
 
     best_xi, best = oracles.grid_minimize(vol, [3.0, 1.0, 1.0], 0.9, steps=19)
     assert best_xi == pytest.approx([3.0, 1.0, 1.0])
-    assert best >= float(rv.vol_functional(cone, (3, 1, 1)).vol_delta) - 1e-15
+    assert best >= float(vol_of(FLAT3, (3, 1, 1))) - 1e-15
 
 
 def test_conifold_normalized_volume():
-    vr = rv.vol_functional(CONIFOLD, (F(3), F(3, 2), F(3, 2)))
-    assert vr.normalized_volume == F(16, 27)
+    normalized_volume = 2**3 * math.factorial(3) * vol_of(CONIFOLD, (F(3), F(3, 2), F(3, 2)))
+    assert normalized_volume == F(16, 27)
     # cross-check against the hypersurface volume formula for the quadric
     from reebmin import obstruct
 
     _, normalized = obstruct.hs_volume(obstruct.WeightedHS((1, 1, 1, 1), 2))
-    assert vr.normalized_volume == normalized
+    assert normalized_volume == normalized
 
 
 def test_volume_homogeneity_degree_minus_n():
     rng = random.Random(1)
-    for cone in (cn.flat_cone(3), CONIFOLD):
+    for cone in (FLAT3, CONIFOLD):
         xi = random_interior_xi(cone, rng, on_slice=False)
         lam = 1.7
-        v1 = rv.vol_functional(cone, xi).vol_delta
-        v2 = rv.vol_functional(cone, [lam * x for x in xi]).vol_delta
+        v1 = vol_of(cone, xi)
+        v2 = vol_of(cone, [lam * x for x in xi])
         assert v2 == pytest.approx(lam ** (-cone.n) * v1, rel=1e-12)
-
-
-def test_ein_hilbert_at_critical_height():
-    # on the slice <e1, xi> = n the action is 8 n (n-1) (2 pi)^n vol(Delta)
-    xi = (F(3), F(3, 2), F(3, 2))
-    vol = float(rv.vol_functional(CONIFOLD, xi).vol_delta)
-    expected = 8 * 3 * 2 * (2 * math.pi) ** 3 * vol
-    assert rv.ein_hilbert(CONIFOLD, xi) == pytest.approx(expected, rel=1e-12)
 
 
 # --- derivatives -------------------------------------------------------------
 
 
 def test_conifold_restricted_gradient_exactly_zero():
-    grad = rv.vol_gradient(CONIFOLD, (F(3), F(3, 2), F(3, 2)))
+    grad = vol_gradient(CONIFOLD, (F(3), F(3, 2), F(3, 2)))
     assert grad[1] == 0 and grad[2] == 0
     assert grad[0] != 0  # unconstrained direction stays downhill
 
@@ -136,11 +137,11 @@ def test_gradient_matches_finite_differences():
     rng = random.Random(2)
     for cone in FIVE_CONES:
         def vol(xi, cone=cone):
-            return float(rv.vol_functional(cone, xi).vol_delta)
+            return float(vol_of(cone, xi))
 
         for _ in range(25):
             xi = random_interior_xi(cone, rng, on_slice=False)
-            grad = rv.vol_gradient(cone, xi)
+            grad = vol_gradient(cone, xi)
             fd = oracles.fd_volume_gradient(vol, xi, h=1e-5)
             scale = max(abs(g) for g in grad)
             for g, f in zip(grad, fd):
@@ -149,16 +150,16 @@ def test_gradient_matches_finite_differences():
 
 def test_gradient_exact_equals_float():
     rng = random.Random(3)
-    for cone in (cn.flat_cone(3), CONIFOLD, Y21):
+    for cone in (FLAT3, CONIFOLD, Y21):
         for _ in range(5):
             xi_num = [F(rng.randint(1, 40), rng.randint(1, 13)) for _ in range(cone.n)]
             xi = [F(cone.n) + sum(xi_num) * 0, *xi_num[1:]]
             xi[0] = F(cone.n)
             try:
-                exact = rv.vol_gradient(cone, xi)
+                exact = vol_gradient(cone, xi)
             except ReebNotInterior:
                 continue
-            approx = rv.vol_gradient(cone, [float(x) for x in xi])
+            approx = vol_gradient(cone, [float(x) for x in xi])
             for e, a in zip(exact, approx):
                 assert abs(float(e) - a) <= 1e-9 * max(1.0, abs(a))
 
@@ -168,7 +169,7 @@ def test_hessian_positive_definite_on_slice():
     for cone in FIVE_CONES:
         for _ in range(10):
             xi = random_interior_xi(cone, rng)
-            hess = rv.vol_hessian(cone, xi)
+            hess = vol_hessian(cone, xi)
             reduced = np.array([row[1:] for row in hess[1:]], float)
             assert np.linalg.eigvalsh(reduced)[0] > 0
 
@@ -183,9 +184,9 @@ def test_strict_convexity_on_random_segments():
         if max(abs(x - y) for x, y in zip(a, b)) < 1e-9:
             continue
         mid = [(x + y) / 2 for x, y in zip(a, b)]
-        va = rv.vol_functional(cone, a).vol_delta
-        vb = rv.vol_functional(cone, b).vol_delta
-        vm = rv.vol_functional(cone, mid).vol_delta
+        va = vol_of(cone, a)
+        vb = vol_of(cone, b)
+        vm = vol_of(cone, mid)
         assert vm < (va + vb) / 2
         checked += 1
 
@@ -195,7 +196,7 @@ def test_strict_convexity_on_random_segments():
 
 def test_minimize_flat_cones():
     for n in (2, 3, 4):
-        res = rv.minimize_reeb(cn.flat_cone(n))
+        res = rv.minimize_reeb(cone_suite.cone(f"flat{n}"))
         assert res.regularity == "quasi-regular"
         assert res.xi_star_exact == (F(n), *([F(1)] * (n - 1)))
         assert res.normalized_volume_exact == 1
@@ -304,25 +305,17 @@ def test_minimize_y21_alternate_charge_basis():
 
 
 def test_hessian_positive_definite_at_minimizer():
-    for cone in (CONIFOLD, Y21, cn.flat_cone(3)):
+    for cone in (CONIFOLD, Y21, FLAT3):
         res = rv.minimize_reeb(cone)
-        hess = rv.vol_hessian(cn.gorenstein_normalize(cone).cone, res.xi_star)
+        hess = vol_hessian(cn.gorenstein_normalize(cone).cone, res.xi_star)
         reduced = np.array([row[1:] for row in hess[1:]], float)
         assert np.linalg.eigvalsh(reduced)[0] > 0
 
 
-def test_reeb_vector_representation_tag():
-    assert rv.reeb_vector((F(3), F(1), F(1))).exact
-    assert rv.reeb_vector((3, 1, 1)).exact
-    assert not rv.reeb_vector((3.0, 1.0, 1.0)).exact
-    wrapped = rv.reeb_vector(rv.reeb_vector((3, 1, 1)))
-    assert wrapped.xi == (3, 1, 1)
-
-
 def test_integer_reeb_input_stays_exact():
-    vr = rv.vol_functional(cn.flat_cone(3), (3, 1, 1))
-    assert vr.vol_delta == F(1, 48)
-    assert isinstance(vr.normalized_volume, F)
+    vol, grad, hess = rv._moments(FLAT3, (3, 1, 1), 2)
+    assert vol == F(1, 48)
+    assert all(isinstance(x, F) for x in [vol, *grad, *hess[0]])
 
 
 HEPTAGON = cn.validate_cone(
@@ -335,12 +328,13 @@ def test_volume_against_qhull_oracle():
     from scipy.spatial import ConvexHull
 
     rng = random.Random(10)
-    for cone in (cn.flat_cone(3), CONIFOLD, HEPTAGON, cn.flat_cone(4)):
+    for cone in (FLAT3, CONIFOLD, HEPTAGON, FLAT4):
         for _ in range(3):
             xi = random_interior_xi(cone, rng, on_slice=False)
-            poly = rv.reeb_polytope(cone, xi)
-            mine = float(rv.polytope_volume(poly))
-            hull = ConvexHull([[float(c) for c in v] for v in poly.vertices])
+            mine = float(vol_of(cone, xi))
+            vertices = [[0.0] * cone.n]
+            vertices += [[x / (2 * lc.dot(r, xi)) for x in r] for r in cone.rays]
+            hull = ConvexHull(vertices)
             assert abs(mine - hull.volume) <= 1e-12 * max(1.0, hull.volume)
 
 
@@ -355,7 +349,7 @@ def test_minimize_heptagon_cone():
 def test_minimize_y13_7_large_denominator_certification():
     from reebmin import ypq
 
-    res = rv.minimize_reeb(ypq.labc_cone(ypq.ypq_embed(13, 7)))
+    res = rv.minimize_reeb(ypq.labc_cone(ypq.LabcParams(6, 20, 13)))  # Y^{13,7}
     assert res.regularity == "quasi-regular"
     assert res.normalized_volume_exact == F(2401, 54756)
     assert ypq.quasiregular_check(13, 7) == ypq.Regularity("quasi-regular", 23)

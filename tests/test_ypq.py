@@ -273,7 +273,8 @@ def test_killing_and_ricci_reeb():
     Y = ypq.ypq_params(2, 1)
     for x in ypq.random_chart_points(Y, 5, rng):
         assert ypq.killing_residual(Y, x) == 0.0  # the metric never reads phi, psi, alpha
-        assert ypq.ricci_reeb_residual(Y, x) <= 1e-12
+        # |Ric(xi, xi) - 4|, apart from the full Einstein test
+        assert abs(ypq._quadratic(ypq.REEB_COMPONENTS, ypq.ricci_fd(Y, x)) - 4.0) <= 1e-12
 
 
 def test_killing_residual_sees_a_metric_that_reads_psi(monkeypatch):
@@ -314,15 +315,20 @@ def test_labc_admissible_examples():
 
 
 def test_ypq_embed():
-    L = ypq.ypq_embed(2, 1)
+    # Y^{p,q} is L^{p-q, p+q, p}, an admissible L^{a,b,c}
+    v = ypq.labc_admissible(2 - 1, 2 + 1, 2)
+    assert v.valid
+    L = v.params
     assert (L.a, L.b, L.c, L.d) == (1, 3, 2, 2)
     assert L.charges == (1, 3, -2, -2)
-    L = ypq.ypq_embed(7, 3)
+    v = ypq.labc_admissible(7 - 3, 7 + 3, 7)
+    assert v.valid
+    L = v.params
     assert (L.a, L.b, L.c, L.d) == (4, 10, 7, 7)
 
 
 def test_labc_cone_y21():
-    g = ypq.labc_cone(ypq.ypq_embed(2, 1))
+    g = ypq.labc_cone(ypq.LabcParams(1, 3, 2))  # Y^{2,1}
     assert g.ell == 1
     top = cn.topology(g.cone)
     assert top.pi1_invariants == () and top.pi2_rank == 1
@@ -331,7 +337,7 @@ def test_labc_cone_y21():
 
 def test_labc_cone_conifold_case():
     g = ypq.labc_cone(ypq.LabcParams(1, 1, 1))
-    match = cn.unimodular_match(
+    match = oracles.unimodular_match(
         list(g.cone.normals), [(1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1)]
     )
     assert match is not None
@@ -346,7 +352,7 @@ def test_regularity_consistency_chain():
     # the perfect-square criterion must agree with the toric minimizer's
     # rationality certification on the Gale-dual cone
     for (p, q) in ((2, 1), (3, 1), (3, 2), (7, 3)):
-        g = ypq.labc_cone(ypq.ypq_embed(p, q))
+        g = ypq.labc_cone(ypq.LabcParams(p - q, p + q, p))
         res = rv.minimize_reeb(g)
         expected = ypq.quasiregular_check(p, q).kind
         assert res.regularity == expected
