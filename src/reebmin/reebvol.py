@@ -29,6 +29,9 @@ from .errors import ConvergenceFailure, NotGorenstein, ReebNotInterior
 from .latcore import dot
 
 GRAD_TOL = 1e-10
+# Newton stops only once the decrement -step.grad is also below this share of
+# vol: unlike |grad| it does not change with the frame or the scale of the cone
+DECREMENT_TOL = 1e-12
 # denominator bounds of the continued-fraction candidates certification tries
 DEN_BOUNDS = (1000, 10**6)
 
@@ -151,11 +154,9 @@ def _newton(cone, tol, max_iter, xi0=None):
             raise ReebNotInterior(f"seed must sit on the slice xi_0 = {n}")
         _pairings(cone, xi)
 
-    def polish(xi, gnorm):
-        # one undamped Newton step once inside the tolerance ball; shrinks
-        # the remaining coordinate error quadratically
-        _, grad, hess = _reduced(cone, xi, order=2)
-        step = _solve(hess, [-g for g in grad])
+    def polish(xi, gnorm, step):
+        # the undamped Newton step at xi once inside the tolerance ball;
+        # shrinks the remaining coordinate error quadratically
         if step is None:
             return xi, gnorm
         cand = list(xi)
@@ -171,10 +172,13 @@ def _newton(cone, tol, max_iter, xi0=None):
     for it in range(1, max_iter + 1):
         vol, grad, hess = _reduced(cone, xi, order=2)
         gnorm = math.sqrt(sum(g * g for g in grad))
-        if gnorm <= tol:
-            xi, gnorm = polish(xi, gnorm)
+        newton = _solve(hess, [-g for g in grad])
+        if gnorm <= tol and (
+            newton is None or -sum(s * g for s, g in zip(newton, grad)) <= DECREMENT_TOL * vol
+        ):
+            xi, gnorm = polish(xi, gnorm, newton)
             return tuple(float(x) for x in xi), it - 1, gnorm
-        step = _solve(hess, [-g for g in grad])
+        step = newton
         if step is None or sum(s * g for s, g in zip(step, grad)) >= 0:
             step = [-g for g in grad]
         # fraction-to-boundary: keep every ray pairing above 1% of its value
@@ -203,7 +207,7 @@ def _newton(cone, tol, max_iter, xi0=None):
         if cvol >= vol:
             # an accepted step that does not lower vol: the float floor in
             # this frame, where |grad| may stay just above tol for good
-            xi, gnorm = polish(xi, gnorm)
+            xi, gnorm = polish(xi, gnorm, newton)
             return tuple(float(x) for x in xi), it, gnorm
         xi = cand
         vol = cvol

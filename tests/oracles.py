@@ -474,3 +474,35 @@ def bishop_implies_lich_property(n_samples, seed):
             if not excess > n * min(w):
                 bad.append((w, d))
     return hits, bad
+
+
+def qhull_centroid(rays, xi):
+    """The centroid of Delta(xi), the hull of the origin and each ray r at
+    r / (2 <r, xi>).  qhull triangulates the facets; each facet simplex,
+    coned from the origin, weighs |det| with the mean of its n vertices and
+    the origin."""
+    from scipy.spatial import ConvexHull
+
+    n = len(xi)
+    pts = np.array([[0.0] * n] + [[x / (2 * _dot(r, xi)) for x in r] for r in rays])
+    weights, centres = [], []
+    for simplex in ConvexHull(pts).simplices:
+        weights.append(abs(np.linalg.det(pts[simplex])))
+        centres.append(pts[simplex].sum(axis=0) / (n + 1))
+    return np.average(centres, axis=0, weights=weights)
+
+
+def minimize_volume_by_qhull(rays, seed):
+    """The minimizer of vol(Delta(xi)) on the slice xi_0 = seed[0].
+
+    d vol / d xi = -2 (n + 1) vol times the centroid of Delta(xi), so on the
+    slice the minimizer is the root of the centroid's coordinates 1..n-1,
+    which scipy finds from the seed."""
+    from scipy.optimize import root
+
+    def centroid_off_axis(free):
+        return qhull_centroid(rays, [seed[0], *free])[1:]
+
+    sol = root(centroid_off_axis, list(seed[1:]), method="hybr", options={"xtol": 1e-14})
+    assert sol.success, sol.message
+    return [float(seed[0]), *sol.x]

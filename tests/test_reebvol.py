@@ -261,6 +261,20 @@ def test_minimize_exits_at_float_floor_in_sheared_frames(moved, standard):
     assert res.normalized_volume == pytest.approx(ref.normalized_volume, rel=1e-10)
 
 
+def test_minimize_moment_curve_cone_against_qhull_oracle():
+    # normals (1, k, ..., k^5): vol and its gradient are tiny at this scale,
+    # so the seed already has |grad| <= GRAD_TOL; the stop must not fire there
+    normals = [[k**i for i in range(6)] for k in range(1, 10)]
+    res = rv.minimize_reeb(cn.validate_cone(normals))
+    assert res.iterations > 0
+    assert res.regularity == "irregular"
+    seed = [6.0] + [6 * sum(v[i] for v in normals) / 9 for i in range(1, 6)]
+    ref = oracles.minimize_volume_by_qhull(oracles.validate_cone_by_minors(normals), seed)
+    for x, r in zip(res.xi_star, ref):
+        assert abs(x - r) <= 1e-8 * abs(r)
+    assert res.xi_star[2] == pytest.approx(200.8494, rel=1e-6)  # the seed had 196.87
+
+
 def test_minimizer_unique_across_restarts():
     rng = random.Random(6)
     reference = rv.minimize_reeb(Y21).xi_star
