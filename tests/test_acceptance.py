@@ -15,7 +15,6 @@ from math import gcd
 
 import pytest
 
-from reebmin import cones as cn
 from reebmin import latcore as lc
 from reebmin import links as lk
 from reebmin import obstruct as ob

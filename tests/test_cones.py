@@ -409,4 +409,5 @@ def test_unimodular_match_in_random_frames():
             t = oracles.unimodular_match(normals, moved)
             assert t is not None and abs(lc.int_det(t)) == 1
             assert sorted(tuple(lc.matvec(t, list(v))) for v in normals) == sorted(moved)
-    assert oracles.unimodular_match(cone_suite.CONES["c3_mod_z2"], cone_suite.CONES["flat3"]) is None
+    c3_mod_z2, flat3 = cone_suite.CONES["c3_mod_z2"], cone_suite.CONES["flat3"]
+    assert oracles.unimodular_match(c3_mod_z2, flat3) is None
