@@ -29,59 +29,61 @@ MAX_RANGE_WIDTH = 100_000
 MAX_CONE_WORK = 10_000_000
 
 
-def _need(payload, key, kind):
-    if key not in payload:
-        raise SchemaError(f"missing field {key!r}")
-    val = payload[key]
-    if kind is int and isinstance(val, bool):
-        raise SchemaError(f"field {key!r} must be an integer")
-    if not isinstance(val, kind):
-        raise SchemaError(f"field {key!r} has wrong type, expected {kind}")
-    return val
+# types, not instances: a bool is an int instance
+_INT, _INT_OR_NULL = {int}, {int, type(None)}
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+def _is_ints(v, types=_INT) -> bool:
+    return type(v) is list and types.issuperset(map(type, v))
 
 
-def _opt_int(payload, key, default):
-    val = payload.get(key, default)
-    if not _is_int(val):
-        raise SchemaError(f"field {key!r} must be an integer")
-    return val
+def _is_rows(v) -> bool:
+    return type(v) is list and all(map(_is_ints, v))
 
 
-def _flag(payload, key):
-    val = payload.get(key, False)
-    if not isinstance(val, bool):
-        raise SchemaError(f"field {key!r} must be a boolean")
-    return val
+# a field's kind: what its value must be, and the test of that
+INT = ("an integer", lambda v: type(v) is int)
+INTS = ("a list of integers", _is_ints)
+INT_ROWS = ("a list of integer lists", _is_rows)
+FLAG = ("a boolean", lambda v: isinstance(v, bool))
+OBJECT = ("an object", lambda v: isinstance(v, dict))
+TEXT = ("a string or null", lambda v: v is None or isinstance(v, str))
+TEMPLATE = ("a list of integers and nulls", lambda v: _is_ints(v, _INT_OR_NULL))
+BOUNDS = ("[lo, hi], two integers", lambda v: _is_ints(v) and len(v) == 2)
+CHARGES = ("a row or a list of rows of integers", lambda v: _is_ints(v) or _is_rows(v))
+NCOLS = ("a non-negative integer or null", lambda v: v is None or type(v) is int and v >= 0)
+
+REQUIRED = object()  # the default of a field that must be given
+
+# the fields of a cone, as schemas/cone.schema.json lists them
+CONE_FIELDS = {"normals": (INT_ROWS, REQUIRED), "n": (INT, None)}
 
 
-def _int_list(payload, key):
-    val = _need(payload, key, list)
-    if not all(map(_is_int, val)):
-        raise SchemaError(f"field {key!r} must be a list of integers")
-    return val
+def _checked(obj, fields, where) -> list:
+    """The values of obj's fields in the order of fields, defaults filled in.
+
+    A key that fields does not name, a missing required field and a value
+    not of its field's kind are each a SchemaError.
+    """
+    if not fields.keys() >= obj.keys():
+        unknown = ", ".join(repr(k) for k in obj if k not in fields)
+        raise SchemaError(f"unknown field(s) {unknown} in {where}")
+    values = []
+    for key, ((what, ok), default) in fields.items():
+        value = obj.get(key, REQUIRED)  # REQUIRED here: the field is absent
+        if value is REQUIRED:
+            if default is REQUIRED:
+                raise SchemaError(f"missing field {key!r}")
+            value = default
+        elif not ok(value):
+            raise SchemaError(f"field {key!r} must be {what}")
+        values.append(value)
+    return values
 
 
-CONE_KEYS = ("n", "normals")
-
-
-def _known_keys(obj, allowed, where):
-    unknown = [k for k in obj if k not in allowed]
-    if unknown:
-        raise SchemaError(f"unknown field(s) {', '.join(map(repr, unknown))} in {where}")
-
-
-def _cone_payload(payload) -> cones.MomentCone:
-    data = _need(payload, "cone", dict)
-    _known_keys(data, CONE_KEYS, "the cone")
-    normals = _need(data, "normals", list)
-    if not all(isinstance(v, list) and all(map(_is_int, v)) for v in normals):
-        raise SchemaError("field 'normals' must be a list of integer lists")
-    n = data.get("n")
-    if "n" in data and not (_is_int(n) and all(len(v) == n for v in normals)):
+def _cone(data) -> cones.MomentCone:
+    normals, n = _checked(data, CONE_FIELDS, "the cone")
+    if n is not None and any(len(v) != n for v in normals):
         raise SchemaError("field 'n' must be an integer, the length of every normal")
     d = len(normals)
     n = len(normals[0]) if normals else 0
@@ -96,9 +98,8 @@ def _cone_payload(payload) -> cones.MomentCone:
 # --- command handlers -------------------------------------------------------
 
 
-def _run_cone_minimize(payload):
-    exact = _flag(payload, "exact_certify")
-    cone = _cone_payload(payload)
+def _run_cone_minimize(cone, exact_certify):
+    cone = _cone(cone)
     g = cones.gorenstein_normalize(cone)
     res = reebvol.minimize_reeb(g)
     results = {
@@ -112,7 +113,7 @@ def _run_cone_minimize(payload):
         "gorenstein_ell": g.ell,
         "basis_change": [list(r) for r in g.basis_change],
     }
-    if exact:
+    if exact_certify:
         results["xi_star_exact"] = (
             list(res.xi_star_exact) if res.xi_star_exact else None
         )
@@ -120,8 +121,8 @@ def _run_cone_minimize(payload):
     return results, {"gradient_norm": reebvol.GRAD_TOL}, False
 
 
-def _run_cone_topology(payload):
-    cone = _cone_payload(payload)
+def _run_cone_topology(cone):
+    cone = _cone(cone)
     top = cones.topology(cone)
     results = {
         "pi1_invariants": list(top.pi1_invariants),
@@ -134,26 +135,16 @@ def _run_cone_topology(payload):
     return results, {}, False
 
 
-def _run_link_check(payload):
-    a = _int_list(payload, "exponents")
-    verdict = links.link_verdict(a)
+def _run_link_check(exponents):
+    verdict = links.link_verdict(exponents)
     return verdict.to_dict(), {}, verdict.outcome == links.OBSTRUCTED
 
 
-def _run_link_enumerate(payload):
-    template = _need(payload, "template", list)
-    if not all(t is None or _is_int(t) for t in template):
-        raise SchemaError("field 'template' must hold integers and nulls")
-    bounds = _int_list(payload, "range")
-    if len(bounds) != 2:
-        raise SchemaError("field 'range' must be [lo, hi]")
+def _run_link_enumerate(template, bounds, predicate):
     lo, hi = bounds
     if hi - lo >= MAX_RANGE_WIDTH:
         raise SchemaError(f"field 'range' may hold at most {MAX_RANGE_WIDTH} values")
-    pred_spec = payload.get("predicate")
-    if not (pred_spec is None or isinstance(pred_spec, str)):
-        raise SchemaError("field 'predicate' must be a string or null")
-    pred = None if pred_spec is None else links.parse_predicate(pred_spec)
+    pred = None if predicate is None else links.parse_predicate(predicate)
     hits = links.enumerate_family(template, range(lo, hi + 1), pred)
     return (
         {
@@ -166,11 +157,8 @@ def _run_link_enumerate(payload):
     )
 
 
-def _run_obstruct_hs(payload):
-    h = obstruct.WeightedHS(
-        weights=tuple(_int_list(payload, "weights")),
-        degree=_need(payload, "degree", int),
-    )
+def _run_obstruct_hs(weights, degree):
+    h = obstruct.WeightedHS(weights=tuple(weights), degree=degree)
     volume, normalized = obstruct.hs_volume(h)
     lich = obstruct.lichnerowicz_check(h)
     bishop = obstruct.bishop_check(h)
@@ -191,10 +179,7 @@ def _run_obstruct_hs(payload):
     return results, {}, strict_fail
 
 
-def _run_join(payload):
-    ords = _int_list(payload, "ord")
-    idxs = _int_list(payload, "index")
-    ns = _int_list(payload, "n")
+def _run_join(ords, idxs, ns):
     if not len(ords) == len(idxs) == len(ns) == 2:
         raise SchemaError("join needs exactly two factors")
     res = obstruct.join_smooth(
@@ -213,14 +198,9 @@ def _run_join(payload):
     )
 
 
-def _run_ypq(payload):
-    p = _need(payload, "p", int)
-    q = _need(payload, "q", int)
-    check_einstein = _flag(payload, "check_einstein")
-    samples = _opt_int(payload, "samples", 20)
+def _run_ypq(p, q, check_einstein, samples, seed):
     if not 1 <= samples <= MAX_SAMPLES:
         raise SchemaError(f"field 'samples' must be between 1 and {MAX_SAMPLES}")
-    seed = _opt_int(payload, "seed", 0)
     Y = ypq.ypq_params(p, q)
     reg = ypq.quasiregular_check(p, q)
     results = {
@@ -255,11 +235,7 @@ def _run_ypq(payload):
     return results, {"einstein": 1e-9, "killing": 1e-6, "eta": 1e-6}, not ok
 
 
-def _run_labc(payload):
-    a = _need(payload, "a", int)
-    b = _need(payload, "b", int)
-    c = _need(payload, "c", int)
-    to_cone = _flag(payload, "to_cone")
+def _run_labc(a, b, c, to_cone):
     verdict = ypq.labc_admissible(a, b, c)
     results = {
         "valid": verdict.valid,
@@ -279,15 +255,9 @@ def _run_labc(payload):
     return results, {}, not verdict.valid
 
 
-def _run_gale_dual(payload):
-    charges = _need(payload, "charges", list)
-    if charges and _is_int(charges[0]):
+def _run_gale_dual(charges, ncols):
+    if charges and type(charges[0]) is int:
         charges = [charges]
-    if not all(isinstance(row, list) and all(map(_is_int, row)) for row in charges):
-        raise SchemaError("field 'charges' must be a row or a list of rows of integers")
-    ncols = payload.get("ncols")
-    if not (ncols is None or _is_int(ncols) and ncols >= 0):
-        raise SchemaError("field 'ncols' must be a non-negative integer or null")
     width = len(charges[0]) if charges else ncols
     if any(len(row) != width for row in charges) or ncols not in (None, width):
         raise SchemaError("rows of 'charges' must all have ncols entries")
@@ -295,33 +265,33 @@ def _run_gale_dual(payload):
     return {"rays": [list(r) for r in rays]}, {}, False
 
 
-_HANDLERS = {
-    "cone-minimize": _run_cone_minimize,
-    "cone-topology": _run_cone_topology,
-    "link-check": _run_link_check,
-    "link-enumerate": _run_link_enumerate,
-    "obstruct-hs": _run_obstruct_hs,
-    "join": _run_join,
-    "ypq": _run_ypq,
-    "labc": _run_labc,
-    "gale-dual": _run_gale_dual,
+# each command's handler and payload fields, as its $defs entry in
+# schemas/jobspec.schema.json lists them: field -> (kind, default).  run()
+# checks a payload against its fields and passes the handler their values
+# in this order
+COMMANDS = {
+    "cone-minimize": (_run_cone_minimize,
+                      {"cone": (OBJECT, REQUIRED), "exact_certify": (FLAG, False)}),
+    "cone-topology": (_run_cone_topology, {"cone": (OBJECT, REQUIRED)}),
+    "link-check": (_run_link_check, {"exponents": (INTS, REQUIRED)}),
+    "link-enumerate": (_run_link_enumerate,
+                       {"template": (TEMPLATE, REQUIRED), "range": (BOUNDS, REQUIRED),
+                        "predicate": (TEXT, None)}),
+    "obstruct-hs": (_run_obstruct_hs,
+                    {"weights": (INTS, REQUIRED), "degree": (INT, REQUIRED)}),
+    "join": (_run_join,
+             {"ord": (INTS, REQUIRED), "index": (INTS, REQUIRED), "n": (INTS, REQUIRED)}),
+    "ypq": (_run_ypq,
+            {"p": (INT, REQUIRED), "q": (INT, REQUIRED), "check_einstein": (FLAG, False),
+             "samples": (INT, 20), "seed": (INT, 0)}),
+    "labc": (_run_labc,
+             {"a": (INT, REQUIRED), "b": (INT, REQUIRED), "c": (INT, REQUIRED),
+              "to_cone": (FLAG, False)}),
+    "gale-dual": (_run_gale_dual, {"charges": (CHARGES, REQUIRED), "ncols": (NCOLS, None)}),
 }
-
-COMMANDS = tuple(_HANDLERS)
-
-# the payload fields of each command, as its $defs entry in
-# schemas/jobspec.schema.json lists them; run() rejects any other field
-PAYLOAD_KEYS = {
-    "cone-minimize": ("cone", "exact_certify"),
-    "cone-topology": ("cone",),
-    "link-check": ("exponents",),
-    "link-enumerate": ("template", "range", "predicate"),
-    "obstruct-hs": ("weights", "degree"),
-    "join": ("ord", "index", "n"),
-    "ypq": ("p", "q", "check_einstein", "samples", "seed"),
-    "labc": ("a", "b", "c", "to_cone"),
-    "gale-dual": ("charges", "ncols"),
-}
+COMMAND = (f"one of {', '.join(COMMANDS)}", lambda v: isinstance(v, str) and v in COMMANDS)
+# the top-level fields of a JobSpec, as schemas/jobspec.schema.json lists them
+JOBSPEC_FIELDS = {"command": (COMMAND, REQUIRED), "payload": (OBJECT, REQUIRED)}
 
 
 def run(spec: dict, timing: bool = False) -> dict:
@@ -332,15 +302,11 @@ def run(spec: dict, timing: bool = False) -> dict:
     """
     if not isinstance(spec, dict):
         raise SchemaError("jobspec must be an object")
-    command = spec.get("command")
-    if command not in _HANDLERS:
-        raise SchemaError(f"unknown command {command!r}")
-    payload = spec.get("payload", {})
-    if not isinstance(payload, dict):
-        raise SchemaError("payload must be an object")
-    _known_keys(payload, PAYLOAD_KEYS[command], f"the {command} payload")
+    command, payload = _checked(spec, JOBSPEC_FIELDS, "the jobspec")
     started = time.perf_counter()
-    results, tolerances, strict_fail = _HANDLERS[command](payload)
+    handler, fields = COMMANDS[command]
+    values = _checked(payload, fields, f"the {command} payload")
+    results, tolerances, strict_fail = handler(*values)
     report = {
         "command": command,
         "input": payload,
@@ -359,8 +325,9 @@ def _error_report(spec, exc) -> dict:
     if not isinstance(exc, (ReebminError, ValueError, OSError)):
         # a fault of the program, not of the input: name it, keep the type
         code, message = "InternalError", f"{code}: {message}"
+    command = spec.get("command") if isinstance(spec, dict) else None
     return {
-        "command": spec.get("command") if isinstance(spec, dict) else None,
+        "command": command if isinstance(command, str) else None,
         "error": {"code": code, "message": message},
         "version": __version__,
     }
@@ -465,18 +432,26 @@ def _range_arg(text):
     return [int(lo), int(hi)]
 
 
+def _rows_csv(text):
+    return [_ints_csv(part) for part in str(text).split(";")]
+
+
 def _load_cone_arg(args) -> dict:
     if args.input:
         with open(args.input, encoding="utf-8") as fh:
-            data = json.load(fh)
-    elif args.normals:
-        rows = [
-            _ints_csv(part) for part in args.normals.replace(" ", "").split(";")
-        ]
-        data = {"n": len(rows[0]), "normals": rows}
-    else:
-        raise SchemaError("give --input cone.json or --normals 'a,b;c,d;...'")
-    return {"cone": data}
+            return json.load(fh)
+    if args.normals:
+        rows = _rows_csv(args.normals)
+        return {"n": len(rows[0]), "normals": rows}
+    raise SchemaError("give --input cone.json or --normals 'a,b;c,d;...'")
+
+
+# argv text -> payload value, for the flags whose payload field is a list
+_FROM_TEXT = {
+    "exponents": _ints_csv, "weights": _ints_csv, "ord": _ints_csv,
+    "index": _ints_csv, "n": _ints_csv, "template": _template_csv,
+    "range": _range_arg, "charges": _rows_csv,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -500,6 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for action in ("minimize", "topology"):
         p = cone.add_parser(action, parents=[common])
+        p.set_defaults(command=f"cone-{action}")
         p.add_argument("--input", help="cone JSON file {n, normals}")
         p.add_argument("--normals", help="inline normals 'a,b;c,d;...'")
         if action == "minimize":
@@ -510,8 +486,10 @@ def build_parser() -> argparse.ArgumentParser:
         dest="action", required=True
     )
     p = link.add_parser("check", parents=[common])
+    p.set_defaults(command="link-check")
     p.add_argument("exponents", help="comma-separated exponents, e.g. 2,3,7,5")
     p = link.add_parser("enumerate", parents=[common])
+    p.set_defaults(command="link-enumerate")
     p.add_argument("--template", required=True,
                    help="exponents with one free slot, e.g. 2,3,7,_")
     p.add_argument("--range", required=True, help="inclusive range lo..hi")
@@ -521,15 +499,18 @@ def build_parser() -> argparse.ArgumentParser:
     obst = sub.add_parser("obstruct", help="volume/eigenvalue obstructions")
     obs_sub = obst.add_subparsers(dest="action", required=True)
     p = obs_sub.add_parser("hs", parents=[common])
+    p.set_defaults(command="obstruct-hs")
     p.add_argument("--weights", required=True, help="comma-separated weights")
     p.add_argument("--degree", required=True, type=int)
 
     p = sub.add_parser("join", parents=[common], help="join smoothness test")
+    p.set_defaults(command="join")
     p.add_argument("--ord", required=True, help="orbifold orders, e.g. 1,1")
     p.add_argument("--index", required=True, help="Fano indices, e.g. 2,2")
     p.add_argument("--n", required=True, help="half-dimensions n_i, e.g. 2,2")
 
     p = sub.add_parser("ypq", parents=[common], help="explicit Y^{p,q} metrics")
+    p.set_defaults(command="ypq")
     p.add_argument("--p", required=True, type=int)
     p.add_argument("--q", required=True, type=int)
     p.add_argument("--check-einstein", action="store_true")
@@ -538,6 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed for the sampled chart points")
 
     p = sub.add_parser("labc", parents=[common], help="L^{a,b,c} admissibility")
+    p.set_defaults(command="labc")
     p.add_argument("--a", required=True, type=int)
     p.add_argument("--b", required=True, type=int)
     p.add_argument("--c", required=True, type=int)
@@ -545,6 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the Gorenstein moment cone")
 
     p = sub.add_parser("gale-dual", parents=[common], help="charge matrix to rays")
+    p.set_defaults(command="gale-dual")
     p.add_argument("--charges", required=True,
                    help="rows ';'-separated, entries ','-separated")
 
@@ -555,62 +538,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(args) -> dict:
-    group = args.group
-    if group == "cone":
-        payload = _load_cone_arg(args)
-        if args.action == "minimize":
-            payload["exact_certify"] = args.exact_certify
-            return {"command": "cone-minimize", "payload": payload}
-        return {"command": "cone-topology", "payload": payload}
-    if group == "link":
-        if args.action == "check":
-            return {
-                "command": "link-check",
-                "payload": {"exponents": _ints_csv(args.exponents)},
-            }
-        return {
-            "command": "link-enumerate",
-            "payload": {
-                "template": _template_csv(args.template),
-                "range": _range_arg(args.range),
-                "predicate": args.predicate,
-            },
-        }
-    if group == "obstruct":
-        return {
-            "command": "obstruct-hs",
-            "payload": {"weights": _ints_csv(args.weights), "degree": args.degree},
-        }
-    if group == "join":
-        return {
-            "command": "join",
-            "payload": {
-                "ord": _ints_csv(args.ord),
-                "index": _ints_csv(args.index),
-                "n": _ints_csv(args.n),
-            },
-        }
-    if group == "ypq":
-        return {
-            "command": "ypq",
-            "payload": {
-                "p": args.p,
-                "q": args.q,
-                "check_einstein": args.check_einstein,
-                "samples": args.samples,
-                "seed": args.seed,
-            },
-        }
-    if group == "labc":
-        return {
-            "command": "labc",
-            "payload": {"a": args.a, "b": args.b, "c": args.c,
-                        "to_cone": args.to_cone},
-        }
-    if group == "gale-dual":
-        rows = [_ints_csv(part) for part in args.charges.split(";")]
-        return {"command": "gale-dual", "payload": {"charges": rows}}
-    raise SchemaError(f"unhandled group {group!r}")
+    """The JobSpec of a parsed command line: each payload field from its flag."""
+    payload = {}
+    for key in COMMANDS[args.command][1]:
+        if key == "cone":
+            payload[key] = _load_cone_arg(args)
+        elif hasattr(args, key):  # a field with no flag keeps its default
+            text = getattr(args, key)
+            payload[key] = _FROM_TEXT[key](text) if key in _FROM_TEXT else text
+    return {"command": args.command, "payload": payload}
 
 
 def _run_batch(args, out) -> int:
@@ -662,7 +598,7 @@ def _run_command(args, out) -> int:
     try:
         spec = _spec_from_args(args)
         report = run(spec, timing=args.timing)
-    except (ReebminError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ReebminError, ValueError, OSError) as exc:
         _emit(_error_report({}, exc), args.format, out)
         return 1
     _emit(report, args.format, out)

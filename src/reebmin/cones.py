@@ -170,7 +170,7 @@ def validate_cone(normals) -> MomentCone:
     it vanishes on have rank n-1.  Both copies of a repeated normal count
     as redundant.
     """
-    vs = [tuple(int(x) for x in v) for v in normals]
+    vs = [tuple(v) for v in normals]
     if not vs:
         raise NotStrictlyConvex("no normals given")
     n = len(vs[0])

@@ -64,7 +64,7 @@ class BPExponents:
 def bp(a) -> BPExponents:
     if isinstance(a, BPExponents):
         return a
-    return BPExponents(a=tuple(int(x) for x in a))
+    return BPExponents(a=tuple(a))
 
 
 def homology_classify(a) -> str:
@@ -291,7 +291,7 @@ def enumerate_family(template, values, predicate=None):
         raise ValueError("template must contain exactly one None slot")
     slot = slots[0]
     out = []
-    for k in sorted(int(k) for k in values):
+    for k in sorted(values):
         a = list(template)
         a[slot] = k
         v = link_verdict(a)

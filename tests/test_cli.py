@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import io
 import json
 from fractions import Fraction
@@ -10,6 +12,7 @@ from reebmin.errors import SchemaError
 
 # bad payloads, one per line, then two valid jobs
 BAD_PAYLOADS = Path(__file__).parent / "data" / "bad_payloads.ndjson"
+REPORT_SCHEMA = Path(__file__).parent.parent / "schemas" / "report.schema.json"
 
 CONIFOLD_PAYLOAD = {
     "cone": {"n": 3, "normals": [[1, 0, 0], [1, 1, 0], [1, 1, 1], [1, 0, 1]]}
@@ -492,10 +495,10 @@ def test_batch_rejects_bad_ypq_and_gale_dual_payloads(capsys):
 def test_batch_turns_an_unexpected_exception_into_an_error_line(
     tmp_path, capsys, monkeypatch
 ):
-    def boom(payload):
+    def boom(exponents):
         raise RuntimeError("handler fault")
 
-    monkeypatch.setitem(cli._HANDLERS, "link-check", boom)
+    monkeypatch.setitem(cli.COMMANDS, "link-check", (boom, cli.COMMANDS["link-check"][1]))
     specs = [
         {"command": "link-check", "payload": {"exponents": [2, 3, 7, 5]}},
         {"command": "join", "payload": {"ord": [1, 1], "index": [2, 2], "n": [2, 2]}},
@@ -511,10 +514,10 @@ def test_batch_turns_an_unexpected_exception_into_an_error_line(
 def test_batch_turns_a_report_that_is_not_json_into_an_error_line(
     tmp_path, capsys, monkeypatch
 ):
-    def unencodable(payload):
+    def unencodable(ords, idxs, ns):
         return {"kind": {1, 2}}, {}, False
 
-    monkeypatch.setitem(cli._HANDLERS, "join", unencodable)
+    monkeypatch.setitem(cli.COMMANDS, "join", (unencodable, cli.COMMANDS["join"][1]))
     join = {"command": "join", "payload": {"ord": [1, 1], "index": [2, 2], "n": [2, 2]}}
     good = {"command": "link-check", "payload": {"exponents": [2, 3, 7, 5]}}
     code, reports = _batch(tmp_path, capsys, [join, join, good])
@@ -525,6 +528,92 @@ def test_batch_turns_a_report_that_is_not_json_into_an_error_line(
         assert report["error"] == {
             "code": "InternalError", "message": "TypeError: a report may not hold a set: {1, 2}"}
     assert reports[2]["command"] == "link-check" and "error" not in reports[2]
+
+
+def test_batch_rejects_a_jobspec_field_other_than_command_and_payload(tmp_path, capsys):
+    # a misspelt top-level key; a command that is not a string, which must
+    # not reach the table's dict lookup, where a list is unhashable
+    good = ONE_SPEC_PER_COMMAND[2]
+    specs = [dict(good, fromat="csv"), {"command": ["ypq"], "payload": {}},
+             {"command": "ypq", "payload": [2, 1]}, good]
+    code, reports = _batch(tmp_path, capsys, specs)
+    assert code == 1
+    assert [r.get("error", {}).get("code") for r in reports] == ["SchemaError"] * 3 + [None]
+    assert "'fromat'" in reports[0]["error"]["message"]
+    assert reports[1]["command"] is None
+    assert reports[3]["results"]["bgk"] == "pass"
+
+
+def _leaves(parser):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [parser]
+    return [leaf for a in subs for p in a.choices.values() for leaf in _leaves(p)]
+
+
+def test_every_command_has_one_argv_leaf():
+    # each leaf but batch names its command, so _spec_from_args meets no other
+    commands = [leaf.get_default("command") for leaf in _leaves(cli.build_parser())]
+    assert sorted(c for c in commands if c is not None) == sorted(cli.COMMANDS)
+    assert commands.count(None) == 1
+
+
+def test_batch_answers_any_small_payload_with_one_report_line(tmp_path):
+    # each field takes a value of its kind or any JSON value, small enough
+    # that no payload nears a cap: one line per job, each a Report, none an
+    # InternalError
+    hypothesis = pytest.importorskip("hypothesis")
+    jsonschema = pytest.importorskip("jsonschema")
+    from reebmin import links
+
+    st = hypothesis.strategies
+    validator = jsonschema.Draft202012Validator(json.loads(REPORT_SCHEMA.read_text()))
+    ints = st.integers(-6, 40)
+    lists = st.lists(ints, max_size=6)
+    rows = st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(ints, min_size=n, max_size=n), max_size=6))
+    names = st.lists(st.sampled_from(sorted(links.NAMED_PREDICATES)), min_size=1, max_size=2)
+    of_kind = {
+        cli.INT: ints, cli.INTS: lists, cli.FLAG: st.booleans(), cli.NCOLS: st.none() | ints,
+        cli.OBJECT: st.fixed_dictionaries({"normals": rows}, optional={"n": ints}),
+        cli.TEXT: st.none() | names.map("+".join) | st.text(max_size=4),
+        cli.TEMPLATE: st.lists(st.none() | ints, max_size=6),
+        cli.BOUNDS: st.lists(ints, min_size=2, max_size=2), cli.CHARGES: lists | rows,
+    }
+    scalars = st.none() | st.booleans() | ints | st.floats(-6, 40) | st.text(max_size=4)
+    any_json = st.recursive(scalars, lambda inner: (
+        st.lists(inner, max_size=6)
+        | st.dictionaries(st.sampled_from(("n", "normals", "x")), inner, max_size=3)),
+        max_leaves=8)
+
+    def spec(command):
+        fields = cli.COMMANDS[command][1]
+        typed = {k: of_kind[kind] for k, (kind, _) in fields.items()}
+        required = {k: typed.pop(k) for k, (_, d) in fields.items() if d is cli.REQUIRED}
+        mixed = {k: of_kind[kind] | any_json for k, (kind, _) in fields.items()}
+        payload = (st.fixed_dictionaries(required, optional=typed)
+                   | st.fixed_dictionaries({}, optional=mixed)
+                   | st.fixed_dictionaries({"x": any_json}, optional=mixed))
+        return st.fixed_dictionaries({"command": st.just(command), "payload": payload})
+
+    batch = tmp_path / "jobs.ndjson"
+
+    @hypothesis.settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(st.lists(st.sampled_from(sorted(cli.COMMANDS)).flatmap(spec),
+                               min_size=1, max_size=3))
+    def check(specs):
+        batch.write_text("".join(json.dumps(s) + "\n" for s in specs))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.main(["batch", str(batch)])
+        lines = out.getvalue().splitlines()
+        assert len(lines) == len(specs)
+        for line in lines:
+            report = json.loads(line)
+            validator.validate(report)
+            assert report.get("error", {}).get("code") != "InternalError", line
+
+    check()
 
 
 @pytest.mark.parametrize("n", [7, 2, True, 3.0, "3", None])

@@ -48,6 +48,12 @@ def test_validate_rejects_nonprimitive():
         cn.validate_cone([(1, 0), (0, 0)])
 
 
+def test_validate_takes_no_float_for_an_integer():
+    # read as (1, 0, 0), the first normal would give the conifold
+    with pytest.raises(TypeError):
+        cn.validate_cone([(1.5, 0, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1)])
+
+
 def test_validate_rejects_redundant():
     with pytest.raises(RedundantNormal) as err:
         cn.validate_cone([(1, 0), (1, 1), (1, 2)])  # middle one is implied

@@ -26,6 +26,13 @@ def test_exponent_derived_data():
         lk.bp((1, 3))
 
 
+def test_exponents_take_no_float_for_an_integer():
+    with pytest.raises(TypeError):
+        lk.bp([2, 3, 7.5])
+    with pytest.raises(TypeError):
+        lk.enumerate_family([2, 3, None], [5.5])
+
+
 def test_homology_examples():
     assert lk.homology_classify((2, 3, 7, 5)) == lk.INTEGRAL
     assert lk.homology_classify((3, 3, 3, 4)) == lk.RATIONAL  # (m,..,m,k) family

@@ -4,6 +4,7 @@ jsonschema is a test extra only; the runtime never imports it.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -44,11 +45,24 @@ def test_jobspec_schema_agrees_with_handlers():
 
 
 def test_payload_key_table_matches_the_schema():
-    # cli keeps its own table so that the runtime never reads the schema
-    defs = load_schema("jobspec.schema.json")["$defs"]
-    assert sorted(defs) == sorted(cli.PAYLOAD_KEYS)
-    for command, entry in defs.items():
+    # cli keeps its own tables so that the runtime never reads the schema
+    jobspec = load_schema("jobspec.schema.json")
+    defs = jobspec["$defs"]
+    assert sorted(defs) == sorted(cli.COMMANDS)
+    tables = [(jobspec, cli.JOBSPEC_FIELDS), (load_schema("cone.schema.json"), cli.CONE_FIELDS)]
+    tables += [(defs[command], fields) for command, (_, fields) in cli.COMMANDS.items()]
+    for entry, fields in tables:
         assert entry["additionalProperties"] is False
-        assert sorted(entry["properties"]) == sorted(cli.PAYLOAD_KEYS[command]), command
-    cone = load_schema("cone.schema.json")
-    assert sorted(cone["properties"]) == sorted(cli.CONE_KEYS)
+        assert sorted(entry["properties"]) == sorted(fields), entry
+        required = [key for key, (_, default) in fields.items() if default is cli.REQUIRED]
+        assert sorted(entry["required"]) == sorted(required), entry
+        for key, (_, default) in fields.items():
+            if default is not cli.REQUIRED:
+                assert entry["properties"][key].get("default") == default, key
+    assert defs["ypq"]["properties"]["samples"]["maximum"] == cli.MAX_SAMPLES
+    caps = [("link-enumerate", "range", cli.MAX_RANGE_WIDTH),
+            ("cone-minimize", "cone", cli.MAX_CONE_WORK),
+            ("cone-topology", "cone", cli.MAX_CONE_WORK)]
+    for command, key, cap in caps:
+        description = defs[command]["properties"][key]["description"]
+        assert str(cap) in re.findall(r"\d+", description), command
