@@ -59,6 +59,14 @@ def dot(u, v):
     return sum(map(mul, u, v))
 
 
+def _int_rows(M: IntMatrix) -> list[list[int]]:
+    """A copy of M to work on; an entry that is not an int is a TypeError."""
+    rows = [list(row) for row in M]
+    if not all(isinstance(x, int) for row in rows for x in row):
+        raise TypeError("matrix entries must be ints")
+    return rows
+
+
 def int_det(M: IntMatrix) -> int:
     """Exact determinant: closed forms up to 3x3, else Bareiss elimination."""
     n = len(M)
@@ -70,7 +78,7 @@ def int_det(M: IntMatrix) -> int:
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = M
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    A = [[int(x) for x in row] for row in M]
+    A = _int_rows(M)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -93,7 +101,7 @@ def int_det(M: IntMatrix) -> int:
 def adjugate(M: IntMatrix) -> list[list[int]]:
     """Transposed cofactor matrix, so that adj(M) M = M adj(M) = det(M) I."""
     n = len(M)
-    rows = [[int(x) for x in row] for row in M]
+    rows = _int_rows(M)
     return [
         [
             (-1) ** (i + j) * int_det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
@@ -120,7 +128,7 @@ def smith_normal_form(M: IntMatrix) -> tuple[list[list[int]], list[list[int]], l
     """
     m = len(M)
     n = len(M[0]) if m else 0
-    A = [[int(x) for x in row] for row in M]
+    A = _int_rows(M)
     U = identity(m)
     V = identity(n)
 
@@ -212,7 +220,7 @@ def rank(M: IntMatrix) -> int:
     After each pivot every remaining entry is a minor of M, so the division
     by the previous pivot is exact and entries stay integers.
     """
-    A = [[int(x) for x in row] for row in M]
+    A = _int_rows(M)
     m = len(A)
     r, prev = 0, 1
     for c in range(len(A[0]) if m else 0):
@@ -249,7 +257,7 @@ def hermite_normal_form(M: IntMatrix) -> list[list[int]]:
     """
     m = len(M)
     n = len(M[0]) if m else 0
-    A = [[int(x) for x in row] for row in M]
+    A = _int_rows(M)
     r = 0
     for c in range(n):
         piv = next((i for i in range(r, m) if A[i][c] != 0), None)

@@ -40,14 +40,16 @@ class BPExponents:
     def __post_init__(self):
         if len(self.a) < 2:
             raise ValueError("need at least two exponents")
-        if any(x < 2 for x in self.a):
+        if min(self.a) < 2:
             raise ValueError("exponents must all be >= 2")
         a = self.a
         d = lcm(*a)
         weights = tuple(d // x for x in a)
         rows = [[x] * len(a) for x in a]
-        for i, j in itertools.combinations(range(len(a)), 2):
-            rows[i][j] = rows[j][i] = gcd(a[i], a[j])
+        for i in range(1, len(a)):
+            row, x = rows[i], a[i]
+            for j in range(i):
+                row[j] = rows[j][i] = gcd(x, a[j])
         object.__setattr__(self, "degree", d)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "weight_sum", sum(weights))
@@ -56,9 +58,6 @@ class BPExponents:
     @property
     def n(self) -> int:
         return len(self.a) - 1
-
-    def hypersurface(self) -> obstruct.WeightedHS:
-        return obstruct.WeightedHS(weights=self.weights, degree=self.degree)
 
 
 def bp(a) -> BPExponents:
@@ -85,7 +84,9 @@ def homology_classify(a) -> str:
     """
     e = bp(a)
     a, g = e.a, e.pair_gcds
-    isolated = [i for i, row in enumerate(g) if max(row[:i] + row[i + 1:]) == 1]
+    # entries are >= 1, so the m - 1 off the diagonal sum to m - 1 only if all are 1
+    m = len(a)
+    isolated = [i for i, row in enumerate(g) if sum(row) - a[i] == m - 1]
     evens = [i for i, x in enumerate(a) if x % 2 == 0]
     even_ok = len(evens) % 2 == 1 and all(
         g[i][j] == (2 if a[j] % 2 == 0 else 1)
@@ -119,6 +120,11 @@ class BGKResult:
         return self.passed
 
 
+# the four results bgk_check returns: the pass, then the fail of (1), (2), (3)
+_BGK_PASS, _BGK_FAIL1, _BGK_FAIL2, _BGK_FAIL3 = (
+    BGKResult(True, None), BGKResult(False, 1), BGKResult(False, 2), BGKResult(False, 3))
+
+
 def _bgk_bmax(e: BPExponents) -> int:
     """max b_i b_j over i < j, where b_i = gcd(a_i, lcm of the other a_j).
 
@@ -142,15 +148,15 @@ def bgk_check(a) -> BGKResult:
     e = bp(a)
     d, w, n = e.degree, e.weight_sum, e.n
     if not w > d:
-        return BGKResult(False, 1)
+        return _BGK_FAIL1
     # (1) fails for every pair of exponents, so n >= 2 from here on
     amax = max(e.a)
     if not w * (n - 1) * amax < d * ((n - 1) * amax + n):
-        return BGKResult(False, 2)
+        return _BGK_FAIL2
     bmax = _bgk_bmax(e)
     if not w * (n - 1) * bmax < d * ((n - 1) * bmax + n):
-        return BGKResult(False, 3)
-    return BGKResult(True, None)
+        return _BGK_FAIL3
+    return _BGK_PASS
 
 
 GK_PASS = "pass"
@@ -178,7 +184,9 @@ OBSTRUCTED = "obstructed"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
+# not frozen, whose __init__ costs about a microsecond per verdict; equality
+# and the hash stay those of the fields
+@dataclass(slots=True, unsafe_hash=True)
 class LinkVerdict:
     exponents: tuple[int, ...]
     fano: bool
@@ -217,9 +225,10 @@ def link_verdict(a) -> LinkVerdict:
     gk = gk_check(e)
     bishop = lich = None
     if fano:
-        hs = e.hypersurface()
-        bishop = obstruct.bishop_check(hs)
-        lich = obstruct.lichnerowicz_check(hs).status
+        # the weights d/a_i are primitive: each prime's full power in
+        # d = lcm(a) divides some a_j, so d/a_j is prime to it
+        bishop = obstruct.bishop_status(e.weights, e.degree)
+        lich = obstruct.lichnerowicz_status(e.weights, e.degree)
     if bgk.passed:
         outcome, reason = EXISTS, "bgk"
     elif gk == GK_PASS:

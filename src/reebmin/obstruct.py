@@ -83,15 +83,32 @@ def hs_volume(h: WeightedHS) -> tuple[float, Fraction]:
     return volume, normalized
 
 
-def bishop_check(h: WeightedHS) -> str:
+def bishop_status(weights, degree: int) -> str:
     """Obstructed iff the link volume exceeds the round sphere's.
 
-    Exact integer comparison of d (|w| - d)^n against w n^n.
+    Exact integer comparison of d (|w| - d)^n against w n^n, for the
+    primitive weights of a Fano hypersurface.
     """
+    n = len(weights) - 1
+    excess = sum(weights) - degree
+    return OBSTRUCTED if degree * excess**n > prod(weights) * n**n else UNOBSTRUCTED
+
+
+def lichnerowicz_status(weights, degree: int) -> str:
+    """Obstructed iff |w| - d > n w_min, i.e. some coordinate has charge < 1.
+
+    Charge exactly 1 is the marginal case (reported, not obstructed: the
+    sharpening by Obata rigidity needs topological input not verified
+    here).  Same data as bishop_status.
+    """
+    bound = (len(weights) - 1) * min(weights)
+    excess = sum(weights) - degree
+    return OBSTRUCTED if excess > bound else MARGINAL if excess == bound else UNOBSTRUCTED
+
+
+def bishop_check(h: WeightedHS) -> str:
     _require_fano(h)
-    n, d = h.n, h.degree
-    excess = h.weight_sum - d
-    return OBSTRUCTED if d * excess**n > h.weight_prod * n**n else UNOBSTRUCTED
+    return bishop_status(h.weights, h.degree)
 
 
 @dataclass(frozen=True)
@@ -103,26 +120,13 @@ class LichResult:
 
 
 def lichnerowicz_check(h: WeightedHS) -> LichResult:
-    """Obstructed iff |w| - d > n w_min, i.e. some coordinate has charge < 1.
-
-    The witness is the minimal-weight coordinate; charge exactly 1 is the
-    marginal case (reported, not obstructed: the sharpening by Obata
-    rigidity needs topological input not verified here).
-    """
+    """lichnerowicz_status with its witness, the minimal-weight coordinate."""
     _require_fano(h)
     n = h.n
-    excess = h.weight_sum - h.degree
-    witness = min(range(len(h.weights)), key=lambda i: h.weights[i])
-    lam = Fraction(n * h.w_min, excess)
-    if lam < 1:
-        status = OBSTRUCTED
-    elif lam == 1:
-        status = MARGINAL
-    else:
-        status = UNOBSTRUCTED
+    lam = Fraction(n * h.w_min, h.weight_sum - h.degree)
     return LichResult(
-        status=status,
-        witness_index=witness,
+        status=lichnerowicz_status(h.weights, h.degree),
+        witness_index=h.weights.index(h.w_min),
         charge=lam,
         eigenvalue=lam * (lam + 2 * (n - 1)),
     )

@@ -8,7 +8,9 @@ arithmetic at every lattice point instead of the meet-in-the-middle
 count, the integer-relation search on its whole grid at once instead of
 block by block, and the Boyer-Galicki-Kollar and Ghigi-Kollar
 inequalities in Fractions instead of integers cleared of the
-denominator lcm(a), the Ricci tensor by
+denominator lcm(a), a link verdict through a gcd-normalized weighted
+hypersurface and the obstruct-hs checks instead of the integer statuses
+on the exponents' own weights, the Ricci tensor by
 central finite differences of the metric instead of exact jets, the jet
 Ricci tensor by dense numpy contractions instead of a sparse program, the
 sparse program by stepping through its tape instead of its compiled
@@ -35,6 +37,8 @@ from math import gcd, lcm, prod
 import numpy as np
 
 from reebmin import latcore
+from reebmin import links as lk
+from reebmin import obstruct as ob
 from reebmin.errors import NonPrimitive, NotStrictlyConvex, RedundantNormal
 from reebmin.ypq import Jet, _ricci_plan
 
@@ -127,6 +131,49 @@ def gk_by_fractions(a):
     n = len(a) - 1
     s = sum((Fraction(1, x) for x in a), Fraction(0))
     return "pass" if 1 < s < 1 + Fraction(n, max(a)) else "fail"
+
+
+def link_verdict_by_hypersurface(a):
+    """link_verdict(a).to_dict() composed as before the integer statuses.
+
+    Bishop and Lichnerowicz come from bishop_check and lichnerowicz_check
+    on WeightedHS(d/a_i; d), the path of an obstruct-hs job.
+    """
+    e = lk.bp(a)
+    fano = lk.fano_check(e)
+    bgk = lk.bgk_check(e)
+    gk = lk.gk_check(e)
+    bishop = lich = None
+    if fano:
+        hs = ob.WeightedHS(weights=e.weights, degree=e.degree)
+        bishop = ob.bishop_check(hs)
+        lich = ob.lichnerowicz_check(hs).status
+    if bgk.passed:
+        outcome, reason = lk.EXISTS, "bgk"
+    elif gk == lk.GK_PASS:
+        outcome, reason = lk.EXISTS, "gk"
+    elif gk == lk.GK_FAIL:
+        # the GK condition is an iff for pairwise coprime exponents
+        outcome, reason = lk.OBSTRUCTED, "gk"
+    elif not fano:
+        outcome, reason = lk.OBSTRUCTED, "fano"
+    elif bishop == "obstructed":
+        outcome, reason = lk.OBSTRUCTED, "bishop"
+    elif lich == "obstructed":
+        outcome, reason = lk.OBSTRUCTED, "lichnerowicz"
+    else:
+        outcome, reason = lk.INCONCLUSIVE, None
+    return {
+        "exponents": list(e.a),
+        "fano": fano,
+        "homology_type": lk.homology_classify(e),
+        "bgk": "pass" if bgk.passed else f"fail({bgk.failed_condition})",
+        "gk": gk,
+        "bishop": bishop,
+        "lichnerowicz": lich,
+        "outcome": outcome,
+        "reason": reason,
+    }
 
 
 def fd_volume_gradient(vol_fn, xi, h=1e-5):

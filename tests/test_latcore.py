@@ -295,3 +295,33 @@ def test_unimodular_inverse_is_integral_and_checks_det():
     for mat in ([[2]], [[-2]], [[1, 1], [-1, 1]], [[1, 0], [0, -2]], [[1, 2], [2, 4]]):
         with pytest.raises(RankError):
             lc.unimodular_inverse(mat)
+
+
+@pytest.mark.parametrize("f, mat", [
+    (lc.smith_normal_form, [[2, 0], [0, 1.5]]),
+    (lc.adjugate, [[2, 0], [0, 1.5]]),
+    (lc.int_det, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1.5]]),
+    (lc.rank, [[1, 0], [0, 1.5]]),
+    (lc.hermite_normal_form, [[1, 0], [0, 1.5]]),
+])
+def test_a_non_integer_entry_is_a_type_error(f, mat):
+    # int(1.5) would read it as 1 and answer for another matrix
+    with pytest.raises(TypeError):
+        f(mat)
+
+
+def test_integer_matrices_keep_their_smith_form_and_adjugate():
+    mat = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
+    assert lc.smith_normal_form(mat) == (
+        [[1, 0, 0], [3, 1, 0], [1, 2, 1]],
+        [[2, 0, 0], [0, 6, 0], [0, 0, 12]],
+        [[1, 0, -2], [0, -1, 4], [0, 1, -3]],
+    )
+    assert lc.smith_normal_form([[1, 2, 3, 4], [2, 0, 6, -2]]) == (
+        [[1, 0], [2, -1]],
+        [[1, 0, 0, 0], [0, 2, 0, 0]],
+        [[1, 0, -3, -2], [0, -2, 0, 5], [0, 0, 1, 0], [0, 1, 0, -2]],
+    )
+    assert lc.adjugate(mat) == [[-48, 48, 24], [24, -72, -48], [-36, 48, 36]]
+    # the input is copied, not changed
+    assert mat == [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]

@@ -6,6 +6,7 @@ from math import gcd, lcm, prod
 import pytest
 
 from reebmin import links as lk
+from reebmin import obstruct as ob
 from reebmin.errors import NotHomologySphere, UnsupportedDimension
 
 import oracles
@@ -259,6 +260,63 @@ def test_verdict_takes_each_pair_gcd_once(a, monkeypatch):
     lk.link_verdict(a)
     m = len(a)
     assert len(calls) <= m * (m - 1) // 2
+
+
+def _verdict_vectors():
+    """Every a in [2..12]^4, and seeded random vectors of 3 to 6 exponents up to 60."""
+    rng = random.Random(26)
+    yield from product(range(2, 13), repeat=4)
+    for _ in range(3000):
+        yield tuple(rng.randint(2, 60) for _ in range(rng.randint(3, 6)))
+
+
+def test_verdict_matches_the_hypersurface_composition():
+    fano = 0
+    for a in _verdict_vectors():
+        v = lk.link_verdict(a)
+        assert v.to_dict() == oracles.link_verdict_by_hypersurface(a), a
+        fano += v.fano
+    assert fano > 2000
+
+
+def test_exponent_weights_are_primitive():
+    # some a_j carries each prime's full power in d = lcm(a), so d/a_j is
+    # prime to it: normalizing the weights changes nothing
+    for a in _verdict_vectors():
+        e = lk.bp(a)
+        h = ob.WeightedHS(e.weights, e.degree)
+        assert (h.weights, h.degree) == (e.weights, e.degree), a
+
+
+def test_verdicts_build_no_hypersurface_and_no_fraction(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a link verdict reached the obstruct-hs records")
+
+    monkeypatch.setattr(ob, "Fraction", refuse)
+    monkeypatch.setattr(ob, "WeightedHS", refuse)
+    verdicts = [lk.link_verdict((2, 3, 7, k)) for k in range(2, 60)]
+    verdicts += [v for _, v in lk.enumerate_family((2, 2, 2, None), range(2, 60))]
+    assert {v.fano for v in verdicts} == {True, False}
+    assert {v.reason for v in verdicts} >= {"bgk", "fano", "bishop"}
+
+
+def test_verdict_record_equality_hash_and_dict():
+    # the record is not frozen; it compares, hashes and reads as before
+    v, w = lk.link_verdict((2, 2, 2, 21)), lk.link_verdict([2, 2, 2, 21])
+    assert v == w and hash(v) == hash(w) and v is not w
+    assert v != lk.link_verdict((2, 2, 2, 23))
+    assert v == lk.LinkVerdict(
+        exponents=(2, 2, 2, 21), fano=True, homology_type=lk.INTEGRAL,
+        bgk=lk.BGKResult(False, 2), gk=lk.GK_NA, bishop=ob.OBSTRUCTED,
+        lichnerowicz=ob.OBSTRUCTED, outcome=lk.OBSTRUCTED, reason="bishop")
+    assert bool(v) and bool(lk.link_verdict((2, 3, 7, 43)))
+    assert list(v.to_dict()) == ["exponents", "fano", "homology_type", "bgk", "gk",
+                                 "bishop", "lichnerowicz", "outcome", "reason"]
+    assert v.to_dict()["bgk"] == "fail(2)" and v.to_dict()["exponents"] == [2, 2, 2, 21]
+    # the shared BGK results compare and read like fresh ones
+    assert lk.bgk_check((2, 3, 7, 5)) == lk.BGKResult(True, None)
+    assert lk.bgk_check((2, 3, 7, 5)) is lk.bgk_check((2, 3, 7, 11))
+    assert not lk.bgk_check((2, 3, 7, 43)) and lk.bgk_check((2, 3, 7, 5))
 
 
 def test_exotic_sphere_signatures():

@@ -124,6 +124,34 @@ def test_integer_checks_agree_with_real_valued():
             assert (ob.lichnerowicz_check(h).status == ob.OBSTRUCTED) == lich_real
 
 
+def test_integer_statuses_match_the_fraction_comparisons():
+    # the charge lam = n w_min / (|w| - d) against 1, and the normalized
+    # volume d (|w| - d)^n / (w n^n) against 1, with the equal cases
+    rng = random.Random(33)
+    cases = [((k, k, k, 2), 2 * k) for k in range(3, 60)]   # k = 4: lam = 1
+    cases += [((1, 1, 1, 1), 2), ((1, 1, 1), 1), ((2, 3, 3, 4), 6)]
+    for _ in range(3000):
+        w = tuple(rng.randint(1, 12) for _ in range(rng.randint(2, 6)))
+        cases.append((w, rng.randint(1, sum(w) - 1)))
+    seen = set()
+    for w, d in cases:
+        try:
+            h = ob.WeightedHS(w, d)
+        except ValueError:  # degree inconsistent with imprimitive weights
+            continue
+        lam = F(h.n * h.w_min, h.weight_sum - h.degree)
+        lich = ob.OBSTRUCTED if lam < 1 else ob.MARGINAL if lam == 1 else ob.UNOBSTRUCTED
+        _, volume = ob.hs_volume(h)
+        bishop = ob.OBSTRUCTED if volume > 1 else ob.UNOBSTRUCTED
+        assert ob.lichnerowicz_status(h.weights, h.degree) == lich, (w, d)
+        assert ob.bishop_status(h.weights, h.degree) == bishop, (w, d)
+        res = ob.lichnerowicz_check(h)
+        assert (res.status, res.charge, ob.bishop_check(h)) == (lich, lam, bishop)
+        seen.add((lich, bishop, volume == 1))
+    assert {s[0] for s in seen} == {ob.OBSTRUCTED, ob.MARGINAL, ob.UNOBSTRUCTED}
+    assert {s[1:] for s in seen} >= {(ob.OBSTRUCTED, False), (ob.UNOBSTRUCTED, True)}
+
+
 def test_bishop_implies_lich_property_suite():
     bishop_obstructed, counterexamples = oracles.bishop_implies_lich_property(10_000, seed=2024)
     assert bishop_obstructed > 100
