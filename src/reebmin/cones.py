@@ -249,25 +249,16 @@ def gorenstein_normalize(cone: MomentCone) -> GorensteinCone:
     """
     vs = cone.normals
     n = cone.n
-    diffs = [[v[i] - vs[0][i] for i in range(n)] for v in vs[1:]]
-    kernel = latcore.integer_kernel(diffs, ncols=n) if diffs else latcore.identity(n)
+    v0 = vs[0]
+    # the normals span Q^n, so their differences have rank n - 1 or n: the
+    # kernel has at most one row, and v0 pairs with it to a non-zero height
+    kernel = latcore.integer_kernel([[a - b for a, b in zip(v, v0)] for v in vs[1:]], ncols=n)
     if not kernel:
         raise NotQGorenstein("normals lie on no common hyperplane <u, .> = ell")
-    heights = [dot(k, vs[0]) for k in kernel]
-    if all(h == 0 for h in heights):
-        raise NotQGorenstein("every admissible covector annihilates the normals")
-    # Bezout-combine kernel vectors to reach the minimal positive height
-    g, coeffs = heights[0], [1] + [0] * (len(kernel) - 1)
-    for j in range(1, len(kernel)):
-        g, x, y = latcore.xgcd(g, heights[j])
-        coeffs = [x * c for c in coeffs]
-        coeffs[j] += y
-    u = tuple(sum(c * k[i] for c, k in zip(coeffs, kernel)) for i in range(n))
-    if dot(u, vs[0]) < 0:
-        u = tuple(-x for x in u)
-        g = -g
-    ell = dot(u, vs[0])
-    assert ell == abs(g) >= 1
+    u = kernel[0]
+    ell = dot(u, v0)
+    if ell < 0:
+        u, ell = [-x for x in u], -ell
     T, T_inv = latcore.unimodular_completion(u)
     new_normals = tuple(tuple(matvec(T, v)) for v in vs)
     assert all(v[0] == ell for v in new_normals)

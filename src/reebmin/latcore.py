@@ -2,12 +2,12 @@
 
 Matrices are plain lists of lists of Python ints (arbitrary precision),
 vectors are lists or tuples of ints.  Nothing here ever rounds or leaves
-ZZ: 2x2 and 3x3 determinants are closed forms, larger determinants and
-ranks come from fraction-free (Bareiss) elimination, inverses from
-adjugates, kernels from one Hermite form, and the Smith form serves only
-where its factors are read.  Sizes are desk-scale (at most a dozen
-rows/columns), so the classical algorithms are used throughout; no
-modular or sparse tricks.
+ZZ: 2x2 and 3x3 determinants are closed forms, other determinants and
+ranks come from one fraction-free (Bareiss) elimination, kernels from one
+Hermite form, the unimodular completion of a row from one Euclid pass,
+and the Smith form serves only where its factors are read.  Sizes are
+desk-scale (at most a dozen rows/columns), so the classical algorithms
+are used throughout; no modular or sparse tricks.
 """
 
 from __future__ import annotations
@@ -67,56 +67,52 @@ def _int_rows(M: IntMatrix) -> list[list[int]]:
     return rows
 
 
+def _bareiss(M: IntMatrix) -> tuple[int, int]:
+    """(rank, det) by fraction-free (Bareiss) elimination.
+
+    After each pivot every remaining entry is a minor of M, so the division
+    by the previous pivot is exact and entries stay integers.  The last
+    pivot of a square matrix of full rank is its determinant up to the sign
+    of the row swaps; det is 0 for any other matrix.
+    """
+    A = _int_rows(M)
+    m = len(A)
+    n = len(A[0]) if m else 0
+    r, prev, sign = 0, 1, 1
+    for c in range(n):
+        piv = next((i for i in range(r, m) if A[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            A[r], A[piv] = A[piv], A[r]
+            sign = -sign
+        top = A[r]
+        p = top[c]
+        for i in range(r + 1, m):
+            a = A[i][c]
+            A[i] = [(x * p - a * y) // prev for x, y in zip(A[i], top)]
+        prev = p
+        r += 1
+        if r == m:
+            break
+    return r, sign * prev if r == n else 0
+
+
 def int_det(M: IntMatrix) -> int:
-    """Exact determinant: closed forms up to 3x3, else Bareiss elimination."""
+    """Exact determinant: closed forms for 2x2 and 3x3, else Bareiss."""
     n = len(M)
-    if n == 0:
-        return 1
     if n == 2:
         (a, b), (c, d) = M
-        return a * d - b * c
-    if n == 3:
+        det = a * d - b * c
+    elif n == 3:
         (a, b, c), (d, e, f), (g, h, i) = M
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    A = _int_rows(M)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k] != 0:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[-1][-1]
-
-
-def adjugate(M: IntMatrix) -> list[list[int]]:
-    """Transposed cofactor matrix, so that adj(M) M = M adj(M) = det(M) I."""
-    n = len(M)
-    rows = _int_rows(M)
-    return [
-        [
-            (-1) ** (i + j) * int_det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-
-def unimodular_inverse(M: IntMatrix) -> list[list[int]]:
-    """Inverse of an integer matrix with det = +-1: det(M) adj(M)."""
-    det = int_det(M)
-    if det not in (1, -1):
-        raise RankError(f"matrix is not unimodular (det = {det})")
-    return [[det * x for x in row] for row in adjugate(M)]
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    else:
+        return _bareiss(M)[1]
+    # every entry enters a product, so one that is not an int leaves det not an int
+    if not isinstance(det, int):
+        raise TypeError("matrix entries must be ints")
+    return det
 
 
 def smith_normal_form(M: IntMatrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
@@ -215,29 +211,8 @@ def smith_normal_form(M: IntMatrix) -> tuple[list[list[int]], list[list[int]], l
 
 
 def rank(M: IntMatrix) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination.
-
-    After each pivot every remaining entry is a minor of M, so the division
-    by the previous pivot is exact and entries stay integers.
-    """
-    A = _int_rows(M)
-    m = len(A)
-    r, prev = 0, 1
-    for c in range(len(A[0]) if m else 0):
-        piv = next((i for i in range(r, m) if A[i][c]), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        top = A[r]
-        p = top[c]
-        for i in range(r + 1, m):
-            a = A[i][c]
-            A[i] = [(x * p - a * y) // prev for x, y in zip(A[i], top)]
-        prev = p
-        r += 1
-        if r == m:
-            break
-    return r
+    """Rank over Q by fraction-free (Bareiss) elimination."""
+    return _bareiss(M)[0]
 
 
 def invariant_factors(M: IntMatrix) -> list[int]:
@@ -336,18 +311,35 @@ def unimodular_completion(u: IntVector) -> tuple[list[list[int]], list[list[int]
 
     Returns (T, T^-1) with |det T| = 1 and first row of T equal to u, so
     that the first coordinate of T @ v equals <u, v> for every v.  T^-1 is
-    the column transform V of the Smith form of u, which T is built from.
+    the column transform V of the Smith form of u, built by the same steps:
+    one Euclid pass that moves the entry of least |value| (the first on a
+    tie) to the front and floor-divides the others by it until they vanish,
+    and a final sign so that u V = (1, 0, .., 0).  The inverse of each
+    column step of V is applied to the rows of T.
     """
     if not is_primitive(u):
         raise ValueError(f"{tuple(u)} is not primitive")
     n = len(u)
-    _, _, V = smith_normal_form([list(u)])
-    w = matvec(transpose(V), list(u))  # u as a row times V
-    if w[0] == -1:
-        for row in V:
-            row[0] = -row[0]
-        w = matvec(transpose(V), list(u))
-    assert w == [1] + [0] * (n - 1)
-    T = unimodular_inverse(V)
-    assert T[0] == list(u)
-    return T, V
+    r = list(u)  # u V, for the V built so far
+    T = identity(n)
+    Vt = identity(n)  # the columns of V
+    while True:
+        j = min((i for i in range(n) if r[i]), key=lambda i: abs(r[i]))
+        if j:
+            r[0], r[j] = r[j], r[0]
+            T[0], T[j] = T[j], T[0]
+            Vt[0], Vt[j] = Vt[j], Vt[0]
+        p = r[0]
+        for j in range(1, n):
+            q = r[j] // p
+            if q:
+                # column j of V -= q column 0, so row 0 of T += q row j
+                r[j] -= q * p
+                Vt[j] = [a - q * b for a, b in zip(Vt[j], Vt[0])]
+                T[0] = [a + q * b for a, b in zip(T[0], T[j])]
+        if not any(r[1:]):
+            break
+    if r[0] < 0:
+        Vt[0] = [-a for a in Vt[0]]
+        T[0] = [-a for a in T[0]]
+    return T, transpose(Vt)

@@ -93,16 +93,16 @@ def ypq_params(p: int, q: int) -> YpqParams:
     return YpqParams(p=p, q=q, a_exact=a_ex, a=a, y1=y1, y2=y2, y3=y3)
 
 
-def w_of(Y: YpqParams, y: float) -> float:
-    return 2.0 * (Y.a - y * y) / (1.0 - y)
-
-
-def q_of(Y: YpqParams, y: float) -> float:
-    return (Y.a - 3.0 * y * y + 2.0 * y**3) / (Y.a - y * y)
-
-
-def f_of(Y: YpqParams, y: float) -> float:
-    return (Y.a - 2.0 * y + y * y) / (6.0 * (Y.a - y * y))
+def wqf(Y: YpqParams, y) -> tuple:
+    """(w(y), q(y), f(y)) of the Y^{p,q} metric, for a float or a jet y."""
+    # q keeps 3.0 * y * y, which is (3.0 * y) * y, not 3.0 * yy: the same bits
+    yy = y * y
+    s = Y.a - yy
+    return (
+        2.0 * s / (1.0 - y),
+        (Y.a - 3.0 * y * y + 2.0 * y**3) / s,
+        (Y.a - 2.0 * y + yy) / (6.0 * s),
+    )
 
 
 @dataclass(frozen=True)
@@ -227,9 +227,7 @@ def _components(Y: YpqParams, x: ChartPoint, y, ct, st) -> dict:
             f"chart degenerates at theta = {x.theta}, y = {x.y}"
         )
     A = (1.0 - y) / 6.0
-    W = w_of(Y, y)
-    Q = q_of(Y, y)
-    F = f_of(Y, y)
+    W, Q, F = wqf(Y, y)
     if _value(W) <= 0 or _value(Q) <= 0:
         raise DegenerateChartPoint(f"w(y) q(y) <= 0 at y = {x.y}")
     WF = W * F

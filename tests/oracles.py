@@ -23,7 +23,10 @@ closed forms and elimination, cone validation by the general
 signed-minor enumerator with a rank test for every normal instead of the
 n = 3 cross product and incidence counts, and the volume minimizer of any
 cone by scipy root finding on qhull's facets of Delta(xi) instead of
-Newton on the pulling triangulation.  The unimodular equivalence search
+Newton on the pulling triangulation, the unimodular completion of a row
+from its Smith form and an adjugate instead of one Euclid pass, and the
+Gorenstein covector as a Bezout combination of every kernel row instead
+of the one row a validated cone has.  The unimodular equivalence search
 and the sampled Bishop => Lichnerowicz implication live here too: they
 are checks, not library operations.
 """
@@ -39,7 +42,8 @@ import numpy as np
 from reebmin import latcore
 from reebmin import links as lk
 from reebmin import obstruct as ob
-from reebmin.errors import NonPrimitive, NotStrictlyConvex, RedundantNormal
+from reebmin.cones import GorensteinCone, MomentCone
+from reebmin.errors import NonPrimitive, NotQGorenstein, NotStrictlyConvex, RedundantNormal
 from reebmin.ypq import Jet, _ricci_plan
 
 
@@ -465,6 +469,74 @@ def matmul(A, B):
     return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
 
 
+def adjugate(M):
+    """Transposed cofactor matrix, so that adj(M) M = M adj(M) = det(M) I."""
+    n = len(M)
+    rows = [list(row) for row in M]
+    return [
+        [
+            (-1) ** (i + j) * latcore.int_det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def unimodular_completion_by_smith(u):
+    """(T, T^-1) for a primitive covector u: T^-1 is the column transform V
+    of the Smith form of the row u, its first column negated when
+    u V = (-1, 0, .., 0), and T = det(V) adj(V)."""
+    n = len(u)
+    _, _, V = latcore.smith_normal_form([list(u)])
+    w = latcore.matvec(latcore.transpose(V), list(u))  # u as a row times V
+    if w[0] == -1:
+        for row in V:
+            row[0] = -row[0]
+        w = latcore.matvec(latcore.transpose(V), list(u))
+    assert w == [1] + [0] * (n - 1)
+    det = latcore.int_det(V)
+    assert det in (1, -1)
+    T = [[det * x for x in row] for row in adjugate(V)]
+    assert T[0] == list(u)
+    return T, V
+
+
+def gorenstein_by_bezout(cone):
+    """cones.gorenstein_normalize on every kernel row: the covector is the
+    Bezout combination of the kernel rows with the least positive height,
+    completed by unimodular_completion_by_smith."""
+    vs = cone.normals
+    n = cone.n
+    diffs = [[v[i] - vs[0][i] for i in range(n)] for v in vs[1:]]
+    kernel = latcore.integer_kernel(diffs, ncols=n) if diffs else latcore.identity(n)
+    if not kernel:
+        raise NotQGorenstein("normals lie on no common hyperplane <u, .> = ell")
+    heights = [_dot(k, vs[0]) for k in kernel]
+    if all(h == 0 for h in heights):
+        raise NotQGorenstein("every admissible covector annihilates the normals")
+    g, coeffs = heights[0], [1] + [0] * (len(kernel) - 1)
+    for j in range(1, len(kernel)):
+        g, x, y = latcore.xgcd(g, heights[j])
+        coeffs = [x * c for c in coeffs]
+        coeffs[j] += y
+    u = tuple(sum(c * k[i] for c, k in zip(coeffs, kernel)) for i in range(n))
+    if _dot(u, vs[0]) < 0:
+        u = tuple(-x for x in u)
+        g = -g
+    ell = _dot(u, vs[0])
+    assert ell == abs(g) >= 1
+    T, T_inv = unimodular_completion_by_smith(u)
+    new_normals = tuple(tuple(latcore.matvec(T, v)) for v in vs)
+    assert all(v[0] == ell for v in new_normals)
+    T_inv_t = latcore.transpose(T_inv)
+    new_rays = tuple(sorted(tuple(latcore.matvec(T_inv_t, r)) for r in cone.rays))
+    return GorensteinCone(
+        ell=ell,
+        basis_change=tuple(tuple(row) for row in T),
+        cone=MomentCone(n=n, normals=new_normals, rays=new_rays),
+    )
+
+
 def unimodular_match(vectors_a, vectors_b):
     """A unimodular T mapping one vector set bijectively onto another, or None.
 
@@ -487,7 +559,7 @@ def unimodular_match(vectors_a, vectors_b):
     a_cols = latcore.transpose([list(v) for v in picked])
     # T = B A^-1 = B adj(A) / det(A), integral iff det(A) divides B adj(A)
     a_det = latcore.int_det(a_cols)
-    a_adj = latcore.adjugate(a_cols)
+    a_adj = adjugate(a_cols)
     for image in permutations(B, n):
         T = matmul(latcore.transpose([list(v) for v in image]), a_adj)
         if any(x % a_det for row in T for x in row):

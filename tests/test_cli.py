@@ -488,9 +488,9 @@ def test_batch_rejects_bad_ypq_and_gale_dual_payloads(capsys):
     assert code == 1
     # the values the schema leaves to the handlers: one line per field
     # that holds them, with the handler's code (labc reports valid: false)
-    decided = ["ValueError"] * 6 + ["BadParams"] * 2 + [None] * 3
+    decided = ["NotStrictlyConvex"] * 2 + ["ValueError"] * 6 + ["BadParams"] * 2 + [None] * 3
     assert [r.get("error", {}).get("code") for r in reports] == [
-        "SchemaError"] * (len(reports) - 13) + decided + [None, None]
+        "SchemaError"] * (len(reports) - 15) + decided + [None, None]
     assert [r["results"]["valid"] for r in reports[-5:-2]] == [False] * 3
     assert reports[-2]["results"]["einstein"]["samples"] == 2
     assert reports[-1]["results"]["rays"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1]]

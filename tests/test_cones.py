@@ -347,6 +347,33 @@ def test_gorenstein_maps_rays_like_a_fresh_enumeration():
     assert checked >= 100
 
 
+def test_gorenstein_normalize_matches_the_bezout_composition():
+    # one kernel row and one Euclid pass against the Bezout combination of
+    # every kernel row and the Smith-adjugate completion: the same
+    # GorensteinCone, its rays included, or the same NotQGorenstein
+    rng = random.Random(41)
+    checked = raised = 0
+    for name, normals in cone_suite.CONES.items():
+        cone = cn.validate_cone(normals)
+        frames = [lc.identity(cone.n)]
+        frames += [oracles.random_unimodular(cone.n, rng) for _ in range(6)]
+        for t in frames:
+            moved = cn.validate_cone([lc.matvec(t, list(v)) for v in cone.normals])
+            try:
+                expected = oracles.gorenstein_by_bezout(moved)
+            except NotQGorenstein:
+                with pytest.raises(NotQGorenstein):
+                    cn.gorenstein_normalize(moved)
+                raised += 1
+                continue
+            g = cn.gorenstein_normalize(moved)
+            assert g == expected and g.cone.rays == expected.cone.rays, name
+            u = g.basis_change[0]
+            assert lc.unimodular_completion(u) == oracles.unimodular_completion_by_smith(u), name
+            checked += 1
+    assert checked >= 150 and raised >= 7
+
+
 def test_rays_take_no_part_in_equality_hash_or_json():
     c = cn.validate_cone(CONIFOLD)
     bare = cn.MomentCone(n=3, normals=c.normals, rays=())
@@ -382,9 +409,9 @@ def test_minimize_job_enumerates_rays_once(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["conifold", "y21", "heptagon", "flat4", "y61_sheared"])
-def test_minimize_job_takes_one_smith_form(name, monkeypatch):
+def test_minimize_job_takes_no_smith_form(name, monkeypatch):
     # guard on the amount of work, not on wall time: the kernel comes from a
-    # Hermite form and only the unimodular completion reads a Smith form
+    # Hermite form and the unimodular completion from one Euclid pass
     from reebmin import cli
 
     calls = []
@@ -398,7 +425,7 @@ def test_minimize_job_takes_one_smith_form(name, monkeypatch):
     normals = [list(v) for v in cone_suite.CONES[name]]
     report = cli.run({"command": "cone-minimize", "payload": {"cone": {"normals": normals}}})
     assert report["results"]["gorenstein_ell"] == 1
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 def test_unimodular_match_in_random_frames():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -152,6 +153,30 @@ def test_unimodular_completion():
     assert lc.unimodular_completion((1, 0, 0)) == (lc.identity(3), lc.identity(3))
 
 
+def test_unimodular_completion_matches_the_smith_adjugate_oracle():
+    # one Euclid pass against the Smith form of the row, its sign fix and
+    # the adjugate inverse: the same (T, T^-1) bit for bit.  Cones have
+    # n <= 4; the oracle's n^2 minors make larger n slow, so fewer of those
+    rng = random.Random(47)
+    for n, count in zip(range(1, 9), (4500,) * 4 + (500,) * 4):
+        while count:
+            bound = rng.choice((3, 100, 10**4))
+            v = [rng.randint(-bound, bound) for _ in range(n)]
+            if rng.random() < 0.3:
+                # ties of |value| between entries
+                v[rng.randrange(n)] = rng.choice((-1, 1)) * rng.choice(v)
+            v = list(oracles.primitive(v))
+            if not any(v):
+                continue
+            assert lc.unimodular_completion(v) == oracles.unimodular_completion_by_smith(v), v
+            count -= 1
+    for v in ((1,), (-1,), (0, -1), (-3, 3, 1), (2, -2, 3, -3), (0, 0, 0, 7, 5)):
+        assert lc.unimodular_completion(v) == oracles.unimodular_completion_by_smith(v), v
+    for v in ((0, 0), (2, 4), ()):
+        with pytest.raises(ValueError):
+            lc.unimodular_completion(v)
+
+
 def test_int_det_matches_fraction_elimination():
     rng = random.Random(13)
     for _ in range(200):
@@ -277,32 +302,24 @@ def test_adjugate_gives_det_times_identity():
             mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         det = lc.int_det(mat)
         singular += det == 0
-        adj = lc.adjugate(mat)
+        adj = oracles.adjugate(mat)
         scaled = [[det * x for x in row] for row in lc.identity(n)]
         assert oracles.matmul(adj, mat) == scaled == oracles.matmul(mat, adj), mat
     assert singular >= 200
-    assert lc.adjugate([[7]]) == [[1]]
-    assert lc.adjugate([[1, 2], [3, 4]]) == [[4, -2], [-3, 1]]
-
-
-def test_unimodular_inverse_is_integral_and_checks_det():
-    rng = random.Random(31)
-    for _ in range(200):
-        n = rng.randint(1, 6)
-        u = oracles.random_unimodular(n, rng)
-        inv = lc.unimodular_inverse(u)
-        assert oracles.matmul(u, inv) == lc.identity(n) == oracles.matmul(inv, u)
-    for mat in ([[2]], [[-2]], [[1, 1], [-1, 1]], [[1, 0], [0, -2]], [[1, 2], [2, 4]]):
-        with pytest.raises(RankError):
-            lc.unimodular_inverse(mat)
+    assert oracles.adjugate([[7]]) == [[1]]
+    assert oracles.adjugate([[1, 2], [3, 4]]) == [[4, -2], [-3, 1]]
 
 
 @pytest.mark.parametrize("f, mat", [
     (lc.smith_normal_form, [[2, 0], [0, 1.5]]),
-    (lc.adjugate, [[2, 0], [0, 1.5]]),
+    (lc.int_det, [[2, 0], [0, 1.5]]),
     (lc.int_det, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1.5]]),
     (lc.rank, [[1, 0], [0, 1.5]]),
     (lc.hermite_normal_form, [[1, 0], [0, 1.5]]),
+    (lc.int_det, [[1.5, 0], [0, 1]]),
+    (lc.int_det, [[Fraction(4, 2), 0], [0, 1]]),
+    (lc.int_det, [[1, 0, 0], [0, 1, 0], [0, 0, 1.5]]),
+    (lc.int_det, [[1, 0, 0], [0, Fraction(3), 0], [0, 0, 1]]),
 ])
 def test_a_non_integer_entry_is_a_type_error(f, mat):
     # int(1.5) would read it as 1 and answer for another matrix
@@ -322,6 +339,6 @@ def test_integer_matrices_keep_their_smith_form_and_adjugate():
         [[1, 0, 0, 0], [0, 2, 0, 0]],
         [[1, 0, -3, -2], [0, -2, 0, 5], [0, 0, 1, 0], [0, 1, 0, -2]],
     )
-    assert lc.adjugate(mat) == [[-48, 48, 24], [24, -72, -48], [-36, 48, 36]]
+    assert oracles.adjugate(mat) == [[-48, 48, 24], [24, -72, -48], [-36, 48, 36]]
     # the input is copied, not changed
     assert mat == [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]

@@ -47,11 +47,30 @@ def test_roots_ordering_and_residuals():
             for y in (Y.y1, Y.y2, Y.y3):
                 assert abs(Y.a - 3 * y * y + 2 * y**3) <= 1e-13
             # q(y) vanishes at the two smallest roots; w stays positive between
-            assert abs(ypq.q_of(Y, Y.y1)) <= 1e-12
-            assert abs(ypq.q_of(Y, Y.y2)) <= 1e-12
+            assert abs(ypq.wqf(Y, Y.y1)[1]) <= 1e-12
+            assert abs(ypq.wqf(Y, Y.y2)[1]) <= 1e-12
             for t in range(11):
                 y = Y.y1 + (Y.y2 - Y.y1) * t / 10
-                assert ypq.w_of(Y, y) > 0
+                assert ypq.wqf(Y, y)[0] > 0
+
+
+def test_wqf_keeps_the_bits_of_three_separate_formulas():
+    # one a - y^2 for w, q and f changes no bit of a float or a jet
+    def bits(t):
+        parts = (t.v, *t.d, *t.h) if isinstance(t, ypq.Jet) else (t,)
+        return [float(z).hex() for z in parts]
+
+    rng = random.Random(43)
+    for (p, q) in ((2, 1), (5, 3), (8, 1)):
+        Y = ypq.ypq_params(p, q)
+        for x in ypq.random_chart_points(Y, 20, rng):
+            for y in (x.y, ypq.Jet(x.y, (0.0, 1.0))):
+                expected = (
+                    2.0 * (Y.a - y * y) / (1.0 - y),
+                    (Y.a - 3.0 * y * y + 2.0 * y**3) / (Y.a - y * y),
+                    (Y.a - 2.0 * y + y * y) / (6.0 * (Y.a - y * y)),
+                )
+                assert [bits(t) for t in ypq.wqf(Y, y)] == [bits(t) for t in expected]
 
 
 def test_metric_positive_definite_and_reeb_unit():
@@ -75,7 +94,7 @@ def test_metric_degenerations():
         ypq.ricci_fd(Y, ypq.ChartPoint(0.0, 0.0, 0.0, 0.0, 0.0))
     # q(y) -> 0 at the roots: the psi-block degenerates in the limit
     for eps in (1e-2, 1e-4, 1e-6):
-        assert ypq.q_of(Y, Y.y1 + eps) < ypq.q_of(Y, Y.y1 + 10 * eps) + 1e-12
+        assert ypq.wqf(Y, Y.y1 + eps)[1] < ypq.wqf(Y, Y.y1 + 10 * eps)[1] + 1e-12
 
 
 def flat5(c):
