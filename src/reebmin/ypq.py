@@ -4,9 +4,12 @@ The metric is evaluated in the local chart (theta, phi, y, psi, alpha);
 the Einstein property Ric = 4 g is then *verified* from exact
 second-order jets of the metric components (forward-mode derivatives
 feeding the Christoffel symbols and their derivatives), deliberately
-independent of any hand-derived curvature algebra.  The L^{a,b,c}
-admissibility conditions and the charge-vector route into the toric
-minimization live here too.
+independent of any hand-derived curvature algebra.  At a Y^{p,q} point
+the jet arithmetic and the Ricci program run as one straight-line
+function of (a, theta, y, cos theta, sin theta), traced once from that
+arithmetic with its structural zeros folded away, so it returns the
+jets' Ricci tensor bit for bit.  The L^{a,b,c} admissibility conditions
+and the charge-vector route into the toric minimization live here too.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from types import SimpleNamespace
 
 from . import cones as _cones
 from . import latcore
@@ -203,33 +207,112 @@ class Jet:
         v = self.v
         return self._chain(v**n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2))
 
+    def cos_sin(self, c, s):
+        """(cos, sin) of this jet, given c = cos(v) and s = sin(v)."""
+        return self._chain(c, -s, -c), self._chain(s, c, -s)
+
     def cos(self):
-        c, s = math.cos(self.v), math.sin(self.v)
-        return self._chain(c, -s, -c)
+        return self.cos_sin(math.cos(self.v), math.sin(self.v))[0]
 
     def sin(self):
-        c, s = math.cos(self.v), math.sin(self.v)
-        return self._chain(s, c, -s)
+        return self.cos_sin(math.cos(self.v), math.sin(self.v))[1]
+
+
+class _Traced:
+    """A float named in a kernel's source while the code computing it runs.
+
+    Each + - * / ** or unary - with a _Traced operand appends one
+    statement t<k> = <a> <op> <b> to lines and returns t<k>; a literal
+    operand is written as its repr, so the statements redo the same float
+    operations on the same numbers.  A product or quotient with a literal
+    0 is a structural zero and comes back as the literal 0.0; an addend
+    that is one is dropped (0 - u becomes -u), and so is a factor or
+    divisor 1 (u * 1.0 is u, bit for bit).
+    """
+
+    __slots__ = ("name", "lines")
+
+    def __init__(self, name: str, lines: list):
+        self.name, self.lines = name, lines
+
+    def _emit(self, expr: str):
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"    {name} = {expr}")
+        return _Traced(name, self.lines)
+
+    def _binary(self, a, op, b):
+        if isinstance(a, Jet) or isinstance(b, Jet):
+            return NotImplemented
+        zero = [not isinstance(u, _Traced) and u == 0 for u in (a, b)]
+        one = [not isinstance(u, _Traced) and u == 1 for u in (a, b)]
+        if op == "*" and (zero[0] or zero[1]) or op == "/" and zero[0]:
+            return 0.0
+        if op in "+-" and zero[1] or op in "*/" and one[1]:
+            return a
+        if op == "+" and zero[0] or op == "*" and one[0]:
+            return b
+        if op == "-" and zero[0]:
+            return -b
+        return self._emit(f"{_source(a)} {op} {_source(b)}")
+
+    def __add__(self, o):
+        return self._binary(self, "+", o)
+
+    def __radd__(self, o):
+        return self._binary(o, "+", self)
+
+    def __sub__(self, o):
+        return self._binary(self, "-", o)
+
+    def __rsub__(self, o):
+        return self._binary(o, "-", self)
+
+    def __mul__(self, o):
+        return self._binary(self, "*", o)
+
+    def __rmul__(self, o):
+        return self._binary(o, "*", self)
+
+    def __truediv__(self, o):
+        return self._binary(self, "/", o)
+
+    def __rtruediv__(self, o):
+        return self._binary(o, "/", self)
+
+    def __pow__(self, n: int):
+        return self._binary(self, "**", n)
+
+    def __neg__(self):
+        return self._emit(f"-{self.name}")
+
+
+def _source(u) -> str:
+    """u as kernel source: a traced name, or a literal in parentheses."""
+    return u.name if isinstance(u, _Traced) else f"({u!r})"
 
 
 def _value(t) -> float:
     return t.v if isinstance(t, Jet) else t
 
 
-def _components(Y: YpqParams, x: ChartPoint, y, ct, st) -> dict:
-    """The metric components g_ij (i <= j, non-zero ones only) at x.
-
-    y, ct = cos(theta) and st = sin(theta) are floats or jets; the chart
-    checks read x and the value parts.
-    """
+def _checked_wqf(Y: YpqParams, x: ChartPoint, y) -> tuple:
+    """wqf(Y, y) after the chart checks at x: the interior margin first,
+    then w > 0 and q > 0 on the values.  y is x.y or its jet."""
     if _interior_margin(Y, x) <= 0:
         raise DegenerateChartPoint(
             f"chart degenerates at theta = {x.theta}, y = {x.y}"
         )
-    A = (1.0 - y) / 6.0
     W, Q, F = wqf(Y, y)
     if _value(W) <= 0 or _value(Q) <= 0:
         raise DegenerateChartPoint(f"w(y) q(y) <= 0 at y = {x.y}")
+    return W, Q, F
+
+
+def _assemble(y, ct, st, W, Q, F) -> dict:
+    """The metric components g_ij (i <= j, non-zero ones only) from y,
+    ct = cos(theta), st = sin(theta) and (W, Q, F) = wqf(Y, y): floats,
+    jets, or the traced jets of _ypq_kernel."""
+    A = (1.0 - y) / 6.0
     WF = W * F
     g33 = Q / 9.0 + WF * F
     return {
@@ -242,6 +325,15 @@ def _components(Y: YpqParams, x: ChartPoint, y, ct, st) -> dict:
         (1, 4): -WF * ct,
         (3, 4): WF,
     }
+
+
+def _components(Y: YpqParams, x: ChartPoint, y, ct, st) -> dict:
+    """The metric components g_ij (i <= j, non-zero ones only) at x.
+
+    y, ct = cos(theta) and st = sin(theta) are floats or jets; the chart
+    checks read x and the value parts.
+    """
+    return _assemble(y, ct, st, *_checked_wqf(Y, x, y))
 
 
 def _float_components(Y: YpqParams, x: ChartPoint) -> dict:
@@ -257,13 +349,7 @@ def metric_eval(Y: YpqParams, x: ChartPoint):
     return tuple(map(tuple, g))
 
 
-def metric_jets(Y: YpqParams, x: ChartPoint) -> dict:
-    """The components of metric_eval as jets in (theta, y) at x."""
-    theta = Jet(x.theta, (1.0, 0.0))
-    return _components(Y, x, Jet(x.y, (0.0, 1.0)), theta.cos(), theta.sin())
-
-
-def _ricci_plan(keys: tuple, dim: int, slots: tuple):
+def _ricci_plan(keys: tuple, dim: int, slots: tuple, zeros=frozenset()):
     """The sparse program of the Ricci tensor for one zero pattern, which
     _ricci_kernel compiles once into the function ricci_from_jets calls.
 
@@ -272,7 +358,10 @@ def _ricci_plan(keys: tuple, dim: int, slots: tuple):
     for (None, e), else zero plus the products of the index pairs in plus,
     then less those in minus, added one at a time in the listed order (the
     order fixes the float rounding).  No product with a structurally zero
-    factor is listed.  With S_lij = d_i g_lj + d_j g_li - d_l g_ij, gamma = g^-1 S
+    factor is listed: an absent key, or a tape index in zeros.  Such a
+    product is +-0.0, and a running total that starts at +0.0 never
+    reaches -0.0, so leaving it out changes no bit of the sum.
+    With S_lij = d_i g_lj + d_j g_li - d_l g_ij, gamma = g^-1 S
     (twice the Christoffel symbols), M_a = g^-1 d_a g, Gamma^k_ki = tr(M_i) / 2
     and sums over repeated indices,
 
@@ -289,9 +378,12 @@ def _ricci_plan(keys: tuple, dim: int, slots: tuple):
         at[i, j] = at[j, i] = 2 + 6 * e
     program, size = [], 2 + 6 * len(keys)
 
+    def kept(p):
+        return None not in p and zeros.isdisjoint(p)
+
     def step(plus, minus=()):
-        plus = [p for p in plus if None not in p]
-        minus = [p for p in minus if None not in p]
+        plus = [p for p in plus if kept(p)]
+        minus = [p for p in minus if kept(p)]
         for p in list(minus):  # drop terms that cancel identically
             if p in plus:
                 plus.remove(p)
@@ -317,7 +409,8 @@ def _ricci_plan(keys: tuple, dim: int, slots: tuple):
     def derivative(p, q, c, a=None):
         """Tape index of d_c g_pq, or of d_a d_c g_pq; None where it is zero."""
         if c in slot and (p, q) in at:
-            return at[p, q] + (1 + slot[c] if a is None else 3 + a + slot[c])
+            e = at[p, q] + (1 + slot[c] if a is None else 3 + a + slot[c])
+            return None if e in zeros else e
 
     def raised(k, i, j, a=None):
         """The products (plus, minus) of g^kl S_lij, or of g^kl d_a S_lij."""
@@ -352,25 +445,36 @@ def _ricci_plan(keys: tuple, dim: int, slots: tuple):
 
 
 @lru_cache(maxsize=16)
-def _ricci_kernel(keys: tuple, dim: int, slots: tuple):
+def _ricci_kernel(keys: tuple, dim: int, slots: tuple, trace=None):
     """The program of _ricci_plan compiled to one straight-line function.
 
     Each step becomes one statement, v<k> = 1 / v<e> or v<k> = zero + v<a> *
     v<b> + ... - v<c> * v<d>, its products in the order of the plan; Python
     adds left to right, so the sum is rounded as a running total would be.
-    The function takes zero and the tape entries from 2 on and returns Ric
-    as a dim x dim tuple, each entry of the plan's 4 Ric divided by 4.  The
-    source holds tape indices only.
+    The function returns Ric as a dim x dim tuple, each entry of the plan's
+    4 Ric divided by 4.  Without a trace it takes zero and the tape entries
+    from 2 on, and its source holds tape indices only.  A trace (params,
+    prelude, tape, zeros) from _trace_components makes it take params
+    instead and run the prelude first; tape[k] is the source of entry
+    2 + k, and the plan leaves out the entries in zeros.
     """
-    program, ricci = _ricci_plan(keys, dim, slots)
     base = 2 + 6 * len(keys)
-    lines = [f"def kernel(zero, {', '.join(f'v{k}' for k in range(2, base))}):",
-             "    v0, v1 = 1, 2"]
+    if trace is None:
+        tape = [f"v{k}" for k in range(2, base)]
+        lines = [f"def kernel(zero, {', '.join(tape)}):"]
+        zeros = frozenset()
+    else:
+        params, prelude, tape, zeros = trace
+        lines = [f"def kernel({', '.join(params)}):", "    zero = 0.0", *prelude]
+    program, ricci = _ricci_plan(keys, dim, slots, zeros)
+    refs = ["v0", "v1", *tape, *(f"v{k}" for k in range(base, base + len(program)))]
+    lines.append("    v0, v1 = 1, 2")
     for k, (plus, minus) in enumerate(program, base):
         if plus is None:
-            lines.append(f"    v{k} = 1 / v{minus}")
+            lines.append(f"    v{k} = 1 / {refs[minus]}")
         else:
-            terms = [f" + v{a} * v{b}" for a, b in plus] + [f" - v{a} * v{b}" for a, b in minus]
+            terms = [f" + {refs[a]} * {refs[b]}" for a, b in plus]
+            terms += [f" - {refs[a]} * {refs[b]}" for a, b in minus]
             lines.append(f"    v{k} = zero{''.join(terms)}")
     quarter = {e: f"r{e}" for row in ricci for e in row if e is not None}
     lines += [f"    {r} = v{e} / 4" for e, r in quarter.items()]
@@ -403,23 +507,57 @@ def ricci_from_jets(components: dict, dim: int, slots: tuple[int, int]):
     return _ricci_kernel(tuple(components), dim, tuple(slots))(t[0] * 0, *t)
 
 
+def _trace_components():
+    """The jets of _components in (theta, y) as kernel source: (keys,
+    (params, prelude, tape, zeros)) for _ricci_kernel, zeros being the
+    tape indices of the entries that are structural zeros.  Only wqf and
+    _assemble run, on jets of traced a, y, cos theta and sin theta, so
+    the source holds no number of a point or of a metric."""
+    lines = []
+    params = ("a", "theta", "y", "ct", "st")
+    a, theta, y, ct, st = (_Traced(name, lines) for name in params)
+    y = Jet(y, (0.0, 1.0))
+    ct, st = Jet(theta, (1.0, 0.0)).cos_sin(ct, st)
+    components = _assemble(y, ct, st, *wqf(SimpleNamespace(a=a), y))
+    entries = [u for c in components.values() for u in (c.v, *c.d, *c.h)]
+    zeros = frozenset(k for k, u in enumerate(entries, 2)
+                      if not isinstance(u, _Traced) and u == 0)
+    return tuple(components), (params, tuple(lines), tuple(map(_source, entries)), zeros)
+
+
+@lru_cache(maxsize=1)
+def _ypq_kernel():
+    """Ricci of the Y^{p,q} metric as one function of (a, theta, y,
+    cos theta, sin theta): the traced jets of _components feeding the
+    Ricci program, compiled on the first Einstein point."""
+    keys, trace = _trace_components()
+    return _ricci_kernel(keys, 5, (0, 2), trace)
+
+
 def ricci_fd(Y: YpqParams, x: ChartPoint):
     """Ricci tensor of the Y^{p,q} metric at x.
 
     The derivatives dg and ddg are exact second-order jets of the metric
     components in (theta, y), the only coordinates the metric reads, so
-    there is no step size and no truncation error.  The name predates the
-    jets; it stays because the benchmark's tracer wraps this function.
+    there is no step size and no truncation error.  The chart checks run
+    on floats; then one compiled function (_ypq_kernel), traced from the
+    jet arithmetic, returns ricci_from_jets of those jets bit for bit.
+    The name predates the jets; it stays because the benchmark's tracer
+    wraps this function.
     """
-    return ricci_from_jets(metric_jets(Y, x), 5, (0, 2))
+    _checked_wqf(Y, x, x.y)
+    return _ypq_kernel()(Y.a, x.theta, x.y, math.cos(x.theta), math.sin(x.theta))
 
 
 def _quadratic(v, m) -> float:
-    """v^T m v."""
+    """v^T m v, leaving out the terms where v_i or v_j is 0: those are
+    +-0.0, so the sum keeps its bits."""
     s = 0.0
     for vi, row in zip(v, m):
-        for vj, mij in zip(v, row):
-            s += vi * mij * vj
+        if vi:
+            for vj, mij in zip(v, row):
+                if vj:
+                    s += vi * mij * vj
     return s
 
 

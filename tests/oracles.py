@@ -14,7 +14,8 @@ on the exponents' own weights, the Ricci tensor by
 central finite differences of the metric instead of exact jets, the jet
 Ricci tensor by dense numpy contractions instead of a sparse program, the
 sparse program by stepping through its tape instead of its compiled
-straight-line function, and n = 3
+straight-line function, the Y^{p,q} metric jets by Jet arithmetic on
+each point instead of the kernel traced from it once, and n = 3
 toric volumes and their slice gradients by the Martelli-Sparks-Yau formula
 over consecutive normals instead of rays and a triangulation, integer
 kernels from the column transform of a Smith form instead of one Hermite
@@ -44,7 +45,7 @@ from reebmin import links as lk
 from reebmin import obstruct as ob
 from reebmin.cones import GorensteinCone, MomentCone
 from reebmin.errors import NonPrimitive, NotQGorenstein, NotStrictlyConvex, RedundantNormal
-from reebmin.ypq import Jet, _ricci_plan
+from reebmin.ypq import ChartPoint, Jet, YpqParams, _components, _ricci_plan
 
 
 def alexander_invariants(a):
@@ -263,6 +264,12 @@ def ricci_from_jets_dense(components: dict, dim: int, slots: tuple[int, int]):
     term4 = np.einsum("rjl,lri->ij", gamma, gamma)
     ric = term1 - term2 + term3 - term4
     return 0.5 * (ric + ric.T)
+
+
+def metric_jets(Y: YpqParams, x: ChartPoint) -> dict:
+    """The components of metric_eval as jets in (theta, y) at x."""
+    theta = Jet(x.theta, (1.0, 0.0))
+    return _components(Y, x, Jet(x.y, (0.0, 1.0)), theta.cos(), theta.sin())
 
 
 def ricci_by_tape(components: dict, dim: int, slots: tuple[int, int]):

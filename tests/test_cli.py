@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,8 @@ import pytest
 
 from reebmin import cli
 from reebmin.errors import SchemaError
+
+import oracles
 
 # bad payloads, one per line, then two valid jobs
 BAD_PAYLOADS = Path(__file__).parent / "data" / "bad_payloads.ndjson"
@@ -285,6 +288,42 @@ def test_ypq_einstein_fails_a_perturbed_ricci(p, monkeypatch):
             "payload": {"p": p, "q": 1, "check_einstein": True, "samples": 20}}
     report = cli.run(spec)
     assert not report["results"]["einstein"]["pass"] and report["strict_fail"]
+
+
+@pytest.fixture
+def fresh_ypq_kernel():
+    """An empty Y^{p,q} kernel cache before and after the test, so the kernel
+    is traced from the code the test runs and none of it outlives the test."""
+    from reebmin import ypq
+
+    ypq._ypq_kernel.cache_clear()
+    yield
+    ypq._ypq_kernel.cache_clear()
+
+
+@pytest.mark.parametrize("p", [2, 1000])
+def test_ypq_einstein_fails_a_perturbed_metric(p, monkeypatch, fresh_ypq_kernel):
+    # negative control through the trace: the compiled Ricci kernel must
+    # follow the metric code, here w scaled by 1 + 1e-6
+    from reebmin import ypq
+
+    wqf = ypq.wqf
+
+    def perturbed(Y, y):
+        w, q, f = wqf(Y, y)
+        return w * (1.0 + 1e-6), q, f
+
+    monkeypatch.setattr(ypq, "wqf", perturbed)
+    spec = {"command": "ypq",
+            "payload": {"p": p, "q": 1, "check_einstein": True, "samples": 20}}
+    report = cli.run(spec)
+    assert not report["results"]["einstein"]["pass"] and report["strict_fail"]
+    assert report["results"]["einstein"]["max_residual"] > 1e-7
+    # a stale kernel would fail the check too; this one is the perturbed jets
+    Y = ypq.ypq_params(p, 1)
+    for x in ypq.random_chart_points(Y, 5, random.Random(p)):
+        jets = ypq.ricci_from_jets(oracles.metric_jets(Y, x), 5, (0, 2))
+        assert ypq.ricci_fd(Y, x) == jets
 
 
 def test_seed_is_a_ypq_option_only(capsys):

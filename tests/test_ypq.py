@@ -1,5 +1,10 @@
+import dataclasses
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from math import gcd
 
@@ -92,6 +97,10 @@ def test_metric_degenerations():
         ypq.metric_eval(Y, ypq.ChartPoint(1.0, 0.0, Y.y2 + 0.01, 0.0, 0.0))
     with pytest.raises(DegenerateChartPoint):
         ypq.ricci_fd(Y, ypq.ChartPoint(0.0, 0.0, 0.0, 0.0, 0.0))
+    with pytest.raises(DegenerateChartPoint):
+        ypq.ricci_fd(Y, ypq.ChartPoint(1.0, 0.0, Y.y2 + 0.01, 0.0, 0.0))
+    with pytest.raises(DegenerateChartPoint):
+        ypq.ricci_fd(Y, ypq.ChartPoint(1.0, 0.0, 1.0, 0.0, 0.0))  # w has a pole at y = 1
     # q(y) -> 0 at the roots: the psi-block degenerates in the limit
     for eps in (1e-2, 1e-4, 1e-6):
         assert ypq.wqf(Y, Y.y1 + eps)[1] < ypq.wqf(Y, Y.y1 + 10 * eps)[1] + 1e-12
@@ -156,7 +165,7 @@ def fraction_cases():
     Y = ypq.ypq_params(2, 1)
     x = ypq.random_chart_points(Y, 1, random.Random(46))[0]
     comps = {key: ypq.Jet(F(c.v), tuple(map(F, c.d)), tuple(map(F, c.h)))
-             for key, c in ypq.metric_jets(Y, x).items()}
+             for key, c in oracles.metric_jets(Y, x).items()}
     yield comps, 5, (0, 2)
 
 
@@ -177,7 +186,7 @@ def dense_cases():
     for (p, q) in EINSTEIN_PQ:
         Y = ypq.ypq_params(p, q)
         for x in ypq.random_chart_points(Y, 25, random.Random(7 * p + q)):
-            yield ypq.metric_jets(Y, x), 5, (0, 2), ypq.metric_scale(Y, x)
+            yield oracles.metric_jets(Y, x), 5, (0, 2), ypq.metric_scale(Y, x)
     r = ypq.Jet(1.2, (1.0, 0.0))
     yield {(0, 0): 1.0, (1, 1): r * r, (2, 2): 1.0, (3, 3): 1.0, (4, 4): 1.0}, 5, (0, 1), 1.44
     eta = ypq.Jet(0.7, (1.0, 0.0))
@@ -198,7 +207,7 @@ def test_compiled_ricci_matches_the_tape_bitwise():
     for (p, q) in ((2, 1), (8, 1), (20, 1), (500, 1)):
         Y = ypq.ypq_params(p, q)
         for x in ypq.random_chart_points(Y, 25, random.Random(1000 * p + q)):
-            cases.append((ypq.metric_jets(Y, x), 5, (0, 2), None))
+            cases.append((oracles.metric_jets(Y, x), 5, (0, 2), None))
     for comps, dim, slots, _ in cases:
         ric = ypq.ricci_from_jets(comps, dim, slots)
         tape = oracles.ricci_by_tape(comps, dim, slots)
@@ -216,6 +225,80 @@ def test_compiled_ricci_is_the_exact_tape_on_fraction_jets():
 
 def test_ricci_kernel_cache_is_bounded():
     assert ypq._ricci_kernel.cache_info().maxsize is not None
+    assert ypq._ypq_kernel.cache_info().maxsize is not None
+
+
+def same_bits(ric, ref):
+    for row, ref_row in zip(ric, ref, strict=True):
+        for v, r in zip(row, ref_row, strict=True):
+            if not (v == r and math.copysign(1.0, v) == math.copysign(1.0, r)):
+                return False
+    return True
+
+
+def test_ypq_kernel_is_the_jet_ricci_bitwise():
+    # the traced kernel redoes the jet arithmetic and drops only +-0.0 terms
+    pqs = [(p, q) for p in range(2, 40) for q in range(1, p) if gcd(p, q) == 1]
+    for (p, q) in pqs + [(500, 1), (1000, 1)]:
+        Y = ypq.ypq_params(p, q)
+        for x in ypq.random_chart_points(Y, 5, random.Random(2000 * p + q)):
+            jets = ypq.ricci_from_jets(oracles.metric_jets(Y, x), 5, (0, 2))
+            assert same_bits(ypq.ricci_fd(Y, x), jets), (p, q, x)
+
+
+def test_ypq_kernel_reads_no_phi_psi_or_alpha():
+    rng = random.Random(47)
+    for (p, q) in ((2, 1), (7, 3), (40, 13)):
+        Y = ypq.ypq_params(p, q)
+        for x in ypq.random_chart_points(Y, 10, rng):
+            ric = ypq.ricci_fd(Y, x)
+            for moved in (dict(phi=x.phi + 1.7), dict(psi=-x.psi), dict(alpha=x.alpha * 3.1)):
+                assert same_bits(ypq.ricci_fd(Y, dataclasses.replace(x, **moved)), ric)
+
+
+def test_ypq_kernel_source_holds_no_metric_constant():
+    # a, y, theta, cos and sin are parameters: the source is one for every (p, q)
+    keys, (params, prelude, tape, zeros) = ypq._trace_components()
+    assert params == ("a", "theta", "y", "ct", "st")
+    source = "\n".join(prelude + tape)
+    for (p, q) in ((2, 1), (7, 3)):
+        Y = ypq.ypq_params(p, q)
+        for v in (Y.a, Y.y1, Y.y2):
+            assert repr(v) not in source
+    # a structural zero is never an operand, only a tape entry the plan drops
+    assert not any("(0.0)" in line or "(-0.0)" in line for line in prelude)
+    assert zeros and all(tape[k - 2] in ("(0.0)", "(-0.0)") for k in zeros)
+
+
+def test_kernel_caches_are_empty_after_cli_import():
+    # the compile belongs to the first Einstein point, not to start-up
+    code = ("import reebmin.cli\nfrom reebmin import ypq\n"
+            "for c in (ypq._ricci_kernel, ypq._ypq_kernel):\n"
+            "    info = c.cache_info()\n"
+            "    print(info.currsize, info.maxsize)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(pathlib.Path(ypq.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout.split()
+    assert out[0] == out[2] == "0"
+    assert int(out[1]) > 0 and int(out[3]) > 0
+
+
+def test_quadratic_keeps_the_bits_of_the_full_sum():
+    def full(v, m):
+        s = 0.0
+        for vi, row in zip(v, m):
+            for vj, mij in zip(v, row):
+                s += vi * mij * vj
+        return s
+
+    rng = random.Random(48)
+    for (p, q) in ((2, 1), (3, 2), (8, 1), (500, 1)):
+        Y = ypq.ypq_params(p, q)
+        for x in ypq.random_chart_points(Y, 25, rng):
+            for m in (ypq.metric_eval(Y, x), ypq.ricci_fd(Y, x)):
+                assert ypq._quadratic(ypq.REEB_COMPONENTS, m).hex() == \
+                    full(ypq.REEB_COMPONENTS, m).hex()
 
 
 def jet_probe(t, y, ct, st):
@@ -250,7 +333,7 @@ def test_jet_metric_values_match_metric_eval_bitwise():
         Y = ypq.ypq_params(p, q)
         for x in ypq.random_chart_points(Y, 25, rng):
             g = ypq.metric_eval(Y, x)
-            comps = ypq.metric_jets(Y, x)
+            comps = oracles.metric_jets(Y, x)
             for i in range(5):
                 for j in range(i, 5):
                     v = comps[(i, j)].v if (i, j) in comps else 0.0
